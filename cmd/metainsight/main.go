@@ -7,7 +7,7 @@
 //	            [-topk-prune 40]
 //	            [-flat] [-max-card 50] [-trace run.jsonl] [-metrics]
 //	            [-checkpoint dir [-checkpoint-every 256] [-resume]]
-//	            [-scan-parallelism 4] [-shards 4 [-shard-faults spec]]
+//	            [-scan-parallelism 4] [-faults spec]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Exit codes:
@@ -68,9 +68,6 @@ func run() int {
 		ckEvery = fs.Int64("checkpoint-every", 256, "commits between checkpoint snapshots (with -checkpoint)")
 		resume  = fs.Bool("resume", false, "resume the run recorded in -checkpoint instead of starting fresh")
 		scanPar = fs.Int("scan-parallelism", 1, "goroutines per physical scan (results are bit-identical for any value)")
-		shards  = fs.Int("shards", 0, "partition the dataset into this many row-range shards scanned concurrently (results are bit-identical for any value; 0 = unsharded)")
-		shBlock = fs.Int("shard-block", 0, "block (morsel) size in rows of sharded execution; shard boundaries align to it (0 = engine default 8192; small tables need a smaller block to yield multiple shards)")
-		shFault = fs.String("shard-faults", "", "per-shard fault plan for sharded execution, e.g. \"seed=7,transient=0.05,slow-shard=2,slow-factor=50,speculate-after=10\" (requires -shards; keys: the -faults keys plus slow-shard, slow-factor, speculate-after)")
 		topKCut = fs.Int("topk-prune", 0, "S*-bounded early termination: skip candidates that provably cannot enter the score top k (0 = off; size with headroom over -k)")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProf = fs.String("memprofile", "", "write a heap profile taken after mining to this file")
@@ -166,8 +163,6 @@ func run() int {
 		metainsight.WithExec(metainsight.ExecConfig{
 			Workers:         *workers,
 			ScanParallelism: *scanPar,
-			Shards:          *shards,
-			ShardBlockRows:  *shBlock,
 		}),
 	}
 	if *topKCut > 0 {
@@ -181,14 +176,6 @@ func run() int {
 			return 1
 		}
 		resilience.Faults, resilience.Retry = policy, retry
-	}
-	if *shFault != "" {
-		plan, err := metainsight.ParseShardFaultSpec(*shFault)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "metainsight:", err)
-			return 1
-		}
-		resilience.ShardFaults = plan
 	}
 	opts = append(opts, metainsight.WithResilience(resilience))
 	if *qcBytes > 0 || *pcBytes > 0 {

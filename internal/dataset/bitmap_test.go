@@ -235,20 +235,3 @@ func TestPostingsBitmapMatchesPostings(t *testing.T) {
 		}
 	}
 }
-
-func TestShardViewBitmapPostings(t *testing.T) {
-	tab := buildBitmapTestTable(t)
-	view := tab.ShardView(100, 900)
-	for _, d := range view.Dimensions() {
-		for code := 0; code < d.Cardinality(); code++ {
-			want := d.Postings(code)
-			got := d.PostingsBitmap(code).ToArray(nil)
-			if len(want) == 0 && len(got) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("view dim %s code %d: bitmap postings disagree with slices", d.Name, code)
-			}
-		}
-	}
-}

@@ -7,10 +7,7 @@ package dataset
 // cached on the column; Table is immutable after Build, so the build is
 // idempotent and race-free under sync.Once.
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // postings holds the per-value row lists of one dimension column.
 type postings struct {
@@ -39,14 +36,6 @@ func (c *DimColumn) index2() *postings {
 }
 
 func (c *DimColumn) buildPostings() {
-	if c.parent != nil {
-		// Shard view: derive the lists from the parent's instead of a fresh
-		// counting pass. Each parent list is sorted, so the view's portion is
-		// one contiguous run found by binary search; rebasing to shard-local
-		// row ids is the only per-row work, and only for rows in the range.
-		c.post.rows = c.parent.sliceRows(int32(c.base), int32(c.base+len(c.codes)))
-		return
-	}
 	counts := make([]int32, len(c.dict))
 	for _, code := range c.codes {
 		counts[code]++
@@ -66,8 +55,7 @@ func (c *DimColumn) buildPostings() {
 // filter value). The first call per column materializes the bitmaps for every
 // code in one O(rows) pass over the dictionary codes — row ids arrive in
 // ascending order per code by construction, which is exactly the builder's
-// input contract. Shard views build from their own code subslice, so no
-// parent posting lists are forced into existence.
+// input contract.
 func (c *DimColumn) PostingsBitmap(code int) *Bitmap {
 	if code < 0 || code >= len(c.dict) {
 		return nil
@@ -100,25 +88,4 @@ func (c *DimColumn) BitmapPostingsStats() BitmapStats {
 		s.Add(bm.Stats())
 	}
 	return s
-}
-
-// sliceRows returns, for every dictionary code, the parent rows in [lo, hi)
-// rebased to start at zero. It builds the parent's own postings on first use,
-// so all shard views of one table share a single O(rows) counting pass.
-func (c *DimColumn) sliceRows(lo, hi int32) [][]int32 {
-	c.index2().once.Do(c.buildPostings)
-	out := make([][]int32, len(c.dict))
-	for code, rows := range c.post.rows {
-		i := sort.Search(len(rows), func(k int) bool { return rows[k] >= lo })
-		j := sort.Search(len(rows), func(k int) bool { return rows[k] >= hi })
-		if i == j {
-			continue
-		}
-		seg := make([]int32, j-i)
-		for k, r := range rows[i:j] {
-			seg[k] = r - lo
-		}
-		out[code] = seg
-	}
-	return out
 }

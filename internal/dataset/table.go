@@ -31,13 +31,6 @@ type DimColumn struct {
 
 	zoneMu sync.Mutex
 	zones  map[int]*ZoneMap // block size -> lazily built zone map (see zones.go)
-
-	// Shard views (see shardview.go): non-nil parent marks this column as a
-	// row-range view of parent covering parent rows [base, base+len(codes)).
-	// Views share the parent's dictionary and derive postings and zone maps
-	// from the parent's instead of rebuilding them per shard.
-	parent *DimColumn
-	base   int
 }
 
 // Cardinality returns the number of distinct values in the column's domain.

@@ -52,20 +52,6 @@ func (c *DimColumn) Zones(blockRows int) *ZoneMap {
 		return z
 	}
 	nb := (len(c.codes) + blockRows - 1) / blockRows
-	// Block-aligned shard view: every view block is exactly one parent block
-	// (the last one may be the parent's final short block), so the map is a
-	// sub-slice of the parent's — one shared O(rows) pass serves all shards.
-	if c.parent != nil && c.base%blockRows == 0 &&
-		((c.base+len(c.codes))%blockRows == 0 || c.base+len(c.codes) == len(c.parent.codes)) {
-		pz := c.parent.Zones(blockRows)
-		b0 := c.base / blockRows
-		z := &ZoneMap{blockRows: blockRows, mins: pz.mins[b0 : b0+nb], maxs: pz.maxs[b0 : b0+nb]}
-		if c.zones == nil {
-			c.zones = make(map[int]*ZoneMap)
-		}
-		c.zones[blockRows] = z
-		return z
-	}
 	z := &ZoneMap{
 		blockRows: blockRows,
 		mins:      make([]int32, nb),

@@ -317,9 +317,6 @@ func (e *Engine) QueryCache() *cache.QueryCache { return e.qc }
 // it to recompute resolutions during canonical commit-order replay.
 func (e *Engine) Faults() *faults.Injector { return e.inj }
 
-// Substrate returns the engine's physical scan layer.
-func (e *Engine) Substrate() Substrate { return e.sub }
-
 // totalImpactValue computes m_Impact({*}) directly (not metered: it is a
 // one-time setup computation, equivalent to dataset metadata).
 func (e *Engine) totalImpactValue() float64 {

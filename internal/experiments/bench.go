@@ -6,18 +6,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"testing"
 
 	"metainsight"
 	"metainsight/internal/cache"
 	"metainsight/internal/dataset"
 	"metainsight/internal/engine"
-	"metainsight/internal/faults"
 	"metainsight/internal/miner"
 	"metainsight/internal/model"
 	"metainsight/internal/pattern"
-	"metainsight/internal/shard"
 	"metainsight/internal/workload"
 )
 
@@ -26,9 +23,8 @@ type BenchResult struct {
 	Name        string `json:"name"`
 	Table       string `json:"table"`
 	Filters     int    `json:"filters"`
-	Substrate   string `json:"substrate"` // "vec", "ref" or "shard"
+	Substrate   string `json:"substrate"` // "vec" or "ref"
 	Parallelism int    `json:"parallelism"`
-	Shards      int    `json:"shards,omitempty"`
 	// Postings names the posting-list representation of a multi-filter scan
 	// arm: "slice" forces the sorted-slice intersect path (the differential
 	// reference), "bitmap" the compressed-container AND kernels. Empty for
@@ -43,18 +39,6 @@ type BenchResult struct {
 	// run of a mine arm: frontier work the impact-sum bounds cut without
 	// issuing a query.
 	BoundSkips int64 `json:"bound_skips,omitempty"`
-}
-
-// BenchStraggler is one row of the straggler-mitigation arm: simulated scan
-// completion-cost percentiles (the merge barrier waits for the slowest
-// shard) under a fault plan with a designated slow shard, with and without
-// speculative re-issue. Costs are deterministic fault-simulation units, not
-// wall clock, so the arm is bit-reproducible on any host.
-type BenchStraggler struct {
-	Scenario string  `json:"scenario"`
-	Shards   int     `json:"shards"`
-	P50Cost  float64 `json:"p50_cost"`
-	P99Cost  float64 `json:"p99_cost"`
 }
 
 // BenchPostings is one postings-memory row: the size of a table's compressed
@@ -94,12 +78,11 @@ type BenchHeadline struct {
 
 // BenchReport is the BENCH_10.json document.
 type BenchReport struct {
-	Description string           `json:"description"`
-	Headline    []BenchHeadline  `json:"headline"`
-	Results     []BenchResult    `json:"results"`
-	Postings    []BenchPostings  `json:"postings"`
-	Speedups    []BenchSpeedup   `json:"speedups"`
-	Straggler   []BenchStraggler `json:"straggler,omitempty"`
+	Description string          `json:"description"`
+	Headline    []BenchHeadline `json:"headline"`
+	Results     []BenchResult   `json:"results"`
+	Postings    []BenchPostings `json:"postings"`
+	Speedups    []BenchSpeedup  `json:"speedups"`
 }
 
 // benchSpec names one scenario of the harness.
@@ -165,17 +148,14 @@ func benchFilters(tab *dataset.Table, n int) model.Subspace {
 // postings section reports each table's compressed index footprint against
 // the 4-bytes-per-row sorted-slice baseline. The headline section carries
 // the filters=0 full-scan speedups (the flat-code group-by kernel against
-// the naive reference), the bitmap-vs-slice multi-filter headline, the mine
-// curve (with impact-bound skip counts), the shard-scaling curve (full scans
-// across shards 1/2/4/8) and the straggler-mitigation headline (p99
-// completion cost with speculative re-issue ÷ without); the speedup section
-// divides each reference ns/op by its vectorized counterparts and each
-// post=slice ns/op by its post=bitmap twin. Reference rows report
-// parallelism 1 — the naive scan is single-threaded — so every row
-// satisfies parallelism >= 1.
+// the naive reference), the bitmap-vs-slice multi-filter headline and the
+// mine curve (with impact-bound skip counts); the speedup section divides
+// each reference ns/op by its vectorized counterparts and each post=slice
+// ns/op by its post=bitmap twin. Reference rows report parallelism 1 — the
+// naive scan is single-threaded — so every row satisfies parallelism >= 1.
 func Bench(w io.Writer, outPath string) error {
 	rep := BenchReport{
-		Description: "Physical scan-layer benchmarks: vectorized morsel-parallel substrate (vec, flat-code group-by + zone maps + compressed bitmap postings) vs retained naive reference (ref), plus the sharded substrate (shard, row-range shards with block-granular deterministic merge). Multi-filter unit arms run with post=bitmap (container AND kernels) and post=slice (sorted-slice intersect, the differential reference); the postings section reports compressed index bytes against the 4 B/row sorted-slice footprint; mine rows carry bound_skips, the frontier work the impact-sum bounds cut without issuing a query. rows_scanned is the simulated metered row count of the plan; speedup = baseline ns/op ÷ scenario ns/op; straggler rows are deterministic simulated completion-cost percentiles, not wall clock.",
+		Description: "Physical scan-layer benchmarks: vectorized morsel-parallel substrate (vec, flat-code group-by + zone maps + compressed bitmap postings) vs retained naive reference (ref). Multi-filter unit arms run with post=bitmap (container AND kernels) and post=slice (sorted-slice intersect, the differential reference); the postings section reports compressed index bytes against the 4 B/row sorted-slice footprint; mine rows carry bound_skips, the frontier work the impact-sum bounds cut without issuing a query. rows_scanned is the simulated metered row count of the plan; speedup = baseline ns/op ÷ scenario ns/op.",
 	}
 
 	var specs []benchSpec
@@ -474,10 +454,6 @@ func Bench(w io.Writer, outPath string) error {
 			name, row.CompressedBytes, row.UncompressedBytes, row.CompressionRatio, row.BytesPerRow)
 	}
 
-	if err := benchShards(w, &rep, tables["large"]); err != nil {
-		return err
-	}
-
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -485,109 +461,7 @@ func Bench(w io.Writer, outPath string) error {
 	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "wrote %s (%d scenarios, %d speedups, %d postings rows, %d straggler rows)\n",
-		outPath, len(rep.Results), len(rep.Speedups), len(rep.Postings), len(rep.Straggler))
-	return nil
-}
-
-// benchShards appends the sharded-substrate arms: the shard-scaling curve
-// (filters=0 full unit scans across shard counts, headlined against the
-// single-shard run) and the straggler-mitigation arm (completion-cost
-// percentiles under a 50×-slow shard, with and without speculative
-// re-issue).
-func benchShards(w io.Writer, rep *BenchReport, tab *dataset.Table) error {
-	scalingNs := map[int]float64{}
-	for _, n := range []int{1, 2, 4, 8} {
-		sub, err := shard.New(tab, shard.Config{Shards: n})
-		if err != nil {
-			return err
-		}
-		rowsScanned := 0
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, r, err := sub.ScanUnit(model.EmptySubspace, "DimA")
-				if err != nil {
-					b.Fatal(err)
-				}
-				rowsScanned = r
-			}
-		})
-		nsPerOp := float64(res.T.Nanoseconds()) / float64(res.N)
-		scalingNs[n] = nsPerOp
-		br := BenchResult{
-			Name:        fmt.Sprintf("unit/table=large/filters=0/sub=shard/shards=%d", n),
-			Table:       "large",
-			Substrate:   "shard",
-			Parallelism: 1,
-			Shards:      n,
-			NsPerOp:     nsPerOp,
-			RowsScanned: rowsScanned,
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		}
-		if rowsScanned > 0 && nsPerOp > 0 {
-			br.RowsPerSec = float64(rowsScanned) * 1e9 / nsPerOp
-		}
-		rep.Results = append(rep.Results, br)
-		fmt.Fprintf(w, "%-48s %12.0f ns/op %10d rows %8d allocs/op\n", br.Name, br.NsPerOp, br.RowsScanned, br.AllocsPerOp)
-	}
-	for _, n := range []int{2, 4, 8} {
-		if scalingNs[n] == 0 {
-			continue
-		}
-		rep.Headline = append(rep.Headline, BenchHeadline{
-			Scenario:        fmt.Sprintf("unit/table=large/filters=0/sub=shard/shards=%d", n),
-			NsPerOp:         scalingNs[n],
-			Baseline:        "unit/table=large/filters=0/sub=shard/shards=1",
-			BaselineNsPerOp: scalingNs[1],
-			Speedup:         scalingNs[1] / scalingNs[n],
-		})
-	}
-
-	// Straggler arm: shard 2 is 50× slow; SpeculateAfter=10 re-issues its
-	// scans against a healthy replica schedule. Completion cost is pure per
-	// fingerprint, so the percentiles are exact and host-independent.
-	p99 := map[bool]float64{}
-	for _, speculative := range []bool{false, true} {
-		plan := shard.FaultPlan{
-			Policy:     faults.Policy{Seed: 7, TransientRate: 0.05, LatencyRate: 0.2, LatencyUnits: 4},
-			Retry:      faults.RetryPolicy{}.WithDefaults(),
-			SlowShards: []int{2},
-			SlowFactor: 50,
-		}
-		name := "straggler/shards=4/speculate=off"
-		if speculative {
-			plan.SpeculateAfter = 10
-			name = "straggler/shards=4/speculate=after-10"
-		}
-		sub, err := shard.New(tab, shard.Config{Shards: 4, Faults: plan})
-		if err != nil {
-			return err
-		}
-		const queries = 2048
-		costs := make([]float64, queries)
-		for i := range costs {
-			costs[i] = sub.CompletionCost(fmt.Sprintf("bench/q%04d", i))
-		}
-		sort.Float64s(costs)
-		row := BenchStraggler{
-			Scenario: name,
-			Shards:   4,
-			P50Cost:  costs[queries/2],
-			P99Cost:  costs[queries*99/100],
-		}
-		p99[speculative] = row.P99Cost
-		rep.Straggler = append(rep.Straggler, row)
-		fmt.Fprintf(w, "%-48s p50=%8.1f p99=%8.1f (simulated cost units)\n", name, row.P50Cost, row.P99Cost)
-	}
-	if p99[true] > 0 {
-		rep.Headline = append(rep.Headline, BenchHeadline{
-			Scenario:        "straggler/shards=4/p99-completion-cost/speculate=after-10",
-			NsPerOp:         p99[true],
-			Baseline:        "straggler/shards=4/p99-completion-cost/speculate=off",
-			BaselineNsPerOp: p99[false],
-			Speedup:         p99[false] / p99[true],
-		})
-	}
+	fmt.Fprintf(w, "wrote %s (%d scenarios, %d speedups, %d postings rows)\n",
+		outPath, len(rep.Results), len(rep.Speedups), len(rep.Postings))
 	return nil
 }

@@ -126,10 +126,14 @@ func TestTable4Ordering(t *testing.T) {
 		t.Errorf("exact-marginal greedy %.3f below rank-by-score %.3f",
 			oursExact.TotalUse, byAlg["Rank-by-Score"].TotalUse)
 	}
-	// The naive enumeration is orders of magnitude slower than greedy (the
-	// paper's impracticality finding).
-	if byAlg["Naive-Exact"].Time < byAlg["Our"].Time {
-		t.Error("naive exact faster than greedy — the comparison is vacuous")
+	// The naive enumeration does far more work than greedy (the paper's
+	// impracticality finding), counted in Overlap evaluations rather than
+	// wall-clock time so the check is deterministic.
+	naiveEvals, greedyEvals := byAlg["Naive-Exact"].OverlapEvals, byAlg["Our"].OverlapEvals
+	t.Logf("overlap evaluations: naive exact %d, greedy %d", naiveEvals, greedyEvals)
+	if greedyEvals <= 0 || naiveEvals <= greedyEvals {
+		t.Errorf("naive exact did %d overlap evaluations, greedy %d — the comparison is vacuous",
+			naiveEvals, greedyEvals)
 	}
 }
 

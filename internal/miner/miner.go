@@ -225,17 +225,6 @@ type Stats struct {
 	Retries int64
 	// BreakerTrips counts circuit-breaker open transitions.
 	BreakerTrips int64
-	// SpeculativeReissues counts backup shard scans issued by the sharded
-	// substrate's straggler mitigation. Like every fault counter it is
-	// replayed canonically: the accounting re-resolves each executed scan's
-	// per-shard fates from its fingerprint in commit order, so the count is
-	// worker-count-invariant (0 when execution is unsharded or fault-free).
-	SpeculativeReissues int64
-	// ShardRetries counts per-shard transient-fault retry attempts under
-	// sharded execution, accounted like SpeculativeReissues. They are kept
-	// separate from Retries, which counts the engine-level injector's
-	// retries.
-	ShardRetries int64
 	// PanickedUnits counts compute units whose evaluation panicked; each was
 	// recovered on its worker and committed as failed-and-accounted (see
 	// EvUnitPanic) instead of crashing the run. Panics are pure functions of
@@ -870,8 +859,6 @@ func (m *Miner) finish() *Result {
 	m.stats.FailedUnits = m.acct.failedUnits
 	m.stats.Retries = m.acct.retries
 	m.stats.BreakerTrips = m.acct.breakerTrips
-	m.stats.SpeculativeReissues = m.acct.specReissues
-	m.stats.ShardRetries = m.acct.shardRetries
 	m.stats.Evictions = m.acct.evictions
 	m.stats.QueryCacheStats = m.acct.queryStats()
 	m.stats.PatternCacheStats = m.acct.patternStats()
@@ -902,8 +889,6 @@ func (m *Miner) finish() *Result {
 		o.SetGauge("miner.queries.failed", float64(m.stats.FailedUnits))
 		o.SetGauge("miner.queries.retries", float64(m.stats.Retries))
 		o.SetGauge("miner.breaker.trips", float64(m.stats.BreakerTrips))
-		o.SetGauge("miner.shard.speculative_reissues", float64(m.stats.SpeculativeReissues))
-		o.SetGauge("miner.shard.retries", float64(m.stats.ShardRetries))
 		o.SetGauge("miner.cache.evictions", float64(m.stats.Evictions))
 		o.SetGauge("miner.qcache.hit_rate", m.stats.QueryCacheStats.HitRate())
 		o.SetGauge("miner.qcache.entries", float64(m.stats.QueryCacheStats.Entries))

@@ -32,10 +32,6 @@ func (s Stats) String() string {
 		fmt.Fprintf(&b, " faults[failed=%d retries=%d breaker-trips=%d]",
 			s.FailedUnits, s.Retries, s.BreakerTrips)
 	}
-	if s.SpeculativeReissues > 0 || s.ShardRetries > 0 {
-		fmt.Fprintf(&b, " shard[reissues=%d retries=%d]",
-			s.SpeculativeReissues, s.ShardRetries)
-	}
 	if s.PanickedUnits > 0 {
 		fmt.Fprintf(&b, " panicked=%d", s.PanickedUnits)
 	}
@@ -91,8 +87,6 @@ type statsJSON struct {
 	FailedUnits      int64          `json:"failed_units"`
 	Retries          int64          `json:"retries"`
 	BreakerTrips     int64          `json:"breaker_trips"`
-	SpecReissues     int64          `json:"speculative_reissues"`
-	ShardRetries     int64          `json:"shard_retries"`
 	PanickedUnits    int64          `json:"panicked_units"`
 	Evictions        int64          `json:"evictions"`
 	CheckpointWrites int64          `json:"checkpoint_writes"`
@@ -127,8 +121,6 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 		FailedUnits:      s.FailedUnits,
 		Retries:          s.Retries,
 		BreakerTrips:     s.BreakerTrips,
-		SpecReissues:     s.SpeculativeReissues,
-		ShardRetries:     s.ShardRetries,
 		PanickedUnits:    s.PanickedUnits,
 		Evictions:        s.Evictions,
 		CheckpointWrites: s.CheckpointWrites,
@@ -152,33 +144,31 @@ func (s *Stats) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	*s = Stats{
-		ExpandUnits:         j.ExpandUnits,
-		DataPatternUnits:    j.DataPatternUnits,
-		MetaInsightUnits:    j.MetaInsightUnits,
-		EmittedMIUnits:      j.EmittedMIUnits,
-		PatternsFound:       j.PatternsFound,
-		Pruned1:             j.Pruned1,
-		Pruned2:             j.Pruned2,
-		SStarCut:            j.SStarCut,
-		BoundSkips:          j.BoundSkips,
-		BoundScanSkips:      j.BoundScanSkips,
-		PrefetchFailures:    j.PrefetchFailures,
-		FailedUnits:         j.FailedUnits,
-		Retries:             j.Retries,
-		BreakerTrips:        j.BreakerTrips,
-		SpeculativeReissues: j.SpecReissues,
-		ShardRetries:        j.ShardRetries,
-		PanickedUnits:       j.PanickedUnits,
-		Evictions:           j.Evictions,
-		CheckpointWrites:    j.CheckpointWrites,
-		ResumedUnits:        j.ResumedUnits,
-		ShortSeriesSkips:    j.ShortSeriesSkips,
-		ExtractErrors:       j.ExtractErrors,
-		ExecutedQueries:     j.ExecutedQueries,
-		AugmentedQueries:    j.AugmentedQueries,
-		CacheServed:         j.CacheServed,
-		CostUsed:            j.CostUsed,
-		Cancelled:           j.Cancelled,
+		ExpandUnits:      j.ExpandUnits,
+		DataPatternUnits: j.DataPatternUnits,
+		MetaInsightUnits: j.MetaInsightUnits,
+		EmittedMIUnits:   j.EmittedMIUnits,
+		PatternsFound:    j.PatternsFound,
+		Pruned1:          j.Pruned1,
+		Pruned2:          j.Pruned2,
+		SStarCut:         j.SStarCut,
+		BoundSkips:       j.BoundSkips,
+		BoundScanSkips:   j.BoundScanSkips,
+		PrefetchFailures: j.PrefetchFailures,
+		FailedUnits:      j.FailedUnits,
+		Retries:          j.Retries,
+		BreakerTrips:     j.BreakerTrips,
+		PanickedUnits:    j.PanickedUnits,
+		Evictions:        j.Evictions,
+		CheckpointWrites: j.CheckpointWrites,
+		ResumedUnits:     j.ResumedUnits,
+		ShortSeriesSkips: j.ShortSeriesSkips,
+		ExtractErrors:    j.ExtractErrors,
+		ExecutedQueries:  j.ExecutedQueries,
+		AugmentedQueries: j.AugmentedQueries,
+		CacheServed:      j.CacheServed,
+		CostUsed:         j.CostUsed,
+		Cancelled:        j.Cancelled,
 		QueryCacheStats: cache.Stats{
 			Hits: j.QueryCache.Hits, Misses: j.QueryCache.Misses,
 			Entries: j.QueryCache.Entries, Bytes: j.QueryCache.Bytes,

@@ -33,8 +33,8 @@ import (
 // so it cannot invalidate speculative worker results. When the caches are
 // byte-bounded, the simulation evicts in commit-order FIFO, producing the
 // deterministic Stats.Evictions; the physical caches evict independently
-// (per shard, in physical insertion order), which only ever causes identical
-// re-scans.
+// (per lock shard, in physical insertion order), which only ever causes
+// identical re-scans.
 
 // usageKind tags one recorded usage event.
 type usageKind int
@@ -176,16 +176,6 @@ type accounting struct {
 	// state — and the retry spending it suppresses — worker-count-invariant.
 	breaker *faults.Breaker
 
-	// shards recomputes per-shard fault fates (retries, speculative
-	// re-issues, permanent shard failures) for sharded substrates, following
-	// the same discipline as inj: a scan's shard outcome is a pure function
-	// of its canonical fingerprint, so the replay resolves it here in commit
-	// order — once per scan the simulation says actually executes — and
-	// ignores the worker-observed failure flag, which can depend on physical
-	// cache state and therefore on worker count.
-	shards        engine.ShardResolver
-	shardsEnabled bool
-
 	qc         map[cache.UnitKey]int64 // simulated query cache: key → bytes
 	qcOrder    []cache.UnitKey         // commit-order FIFO eviction queue
 	qcBytes    int64
@@ -205,8 +195,6 @@ type accounting struct {
 	failedUnits      int64
 	retries          int64
 	breakerTrips     int64
-	specReissues     int64
-	shardRetries     int64
 	evictions        int64
 	cost             float64
 }
@@ -232,9 +220,6 @@ func newAccounting(eng *engine.Engine, pc *cache.PatternCache[*pattern.ScopeEval
 		qcMaxBytes: eng.QueryCache().MaxBytes(),
 		pc:         pc.KeySizes(),
 		pcMaxBytes: pc.MaxBytes(),
-	}
-	if sr, ok := eng.Substrate().(engine.ShardResolver); ok {
-		a.shards, a.shardsEnabled = sr, true
 	}
 	for _, b := range a.qc {
 		a.qcBytes += b
@@ -385,10 +370,6 @@ func (a *accounting) applyUnit(u unitUse) {
 			return
 		}
 	}
-	if a.shardsEnabled {
-		a.applyUnitSharded(u, res)
-		return
-	}
 	if u.failed {
 		// Real (non-injected) substrate error: skipped-but-accounted, no
 		// charge — the scan never completed.
@@ -421,64 +402,6 @@ func (a *accounting) applyUnit(u unitUse) {
 	a.executed++
 	a.meter.AddExecuted(1)
 	a.charge(u.cost + a.applyExecSuccess(keyLabel(u.key), res))
-	a.store(u.key, u.bytes)
-	if a.traced {
-		a.obs.Event(obs.EvCacheMiss, keyLabel(u.key), "query-cache", 0)
-		a.obs.Event(obs.EvQueryExec, keyLabel(u.key), "", u.cost)
-	}
-}
-
-// applyUnitSharded replays one unit query against a sharded substrate. The
-// shape mirrors applyUnit's non-shard tail — same counters, charges and
-// trace events in the same order when nothing fails — with per-shard fates
-// recomputed at the point the simulation decides a scan executes. Shard
-// fates are resolved per executed scan (a cache hit issues none, exactly as
-// the physical substrate gates only real scans), and a permanently failed
-// shard fails the whole query: skipped-but-accounted, charged nothing, and
-// — like an injected failure — not counted as a cache miss. The
-// worker-observed failed flag is consulted only after the recomputed fates
-// clear the query, leaving it meaningful solely for real (non-gate)
-// substrate errors, whose occurrence does not depend on worker count.
-func (a *accounting) applyUnitSharded(u unitUse, res faults.Resolution) {
-	if a.qcEnabled {
-		if _, ok := a.qc[u.key]; ok {
-			a.qcHits++
-			a.served++
-			a.meter.AddServed(1)
-			if a.traced {
-				a.obs.Event(obs.EvCacheHit, keyLabel(u.key), "query-cache", 0)
-			}
-			return
-		}
-	}
-	fp := engine.UnitFingerprint(u.key.Subspace, u.key.Breakdown)
-	sres := a.shards.ResolveShards(fp)
-	a.specReissues += sres.SpeculativeReissues
-	a.shardRetries += sres.Retries
-	if sres.Failed {
-		a.failedUnits++
-		if a.traced {
-			a.obs.Event(obs.EvQueryFail, keyLabel(u.key), "shard failure", 0)
-		}
-		return
-	}
-	if u.failed {
-		a.failedUnits++
-		if a.traced {
-			a.obs.Event(obs.EvQueryFail, keyLabel(u.key), "substrate error", 0)
-		}
-		return
-	}
-	a.qcMisses++
-	a.executed++
-	a.meter.AddExecuted(1)
-	a.charge(u.cost + a.applyExecSuccess(keyLabel(u.key), res))
-	if !a.qcEnabled {
-		if a.traced {
-			a.obs.Event(obs.EvQueryExec, keyLabel(u.key), "query-cache disabled", u.cost)
-		}
-		return
-	}
 	a.store(u.key, u.bytes)
 	if a.traced {
 		a.obs.Event(obs.EvCacheMiss, keyLabel(u.key), "query-cache", 0)
@@ -560,22 +483,6 @@ func (a *accounting) apply(ev usageEvent) {
 			if res := a.inj.Resolve(s.fp, s.cost); !res.OK {
 				a.prefetchFailures++
 				a.applyFailure(s.fp, res)
-				return
-			}
-		}
-		if a.shardsEnabled {
-			// The prefetch scan executes (some sibling was missing), so its
-			// per-shard fates are replayed here, same discipline as
-			// applyUnitSharded: recompute from the fingerprint, ignore the
-			// worker-observed flag for gate failures.
-			sres := a.shards.ResolveShards(s.fp)
-			a.specReissues += sres.SpeculativeReissues
-			a.shardRetries += sres.Retries
-			if sres.Failed {
-				a.prefetchFailures++
-				if a.traced {
-					a.obs.Event(obs.EvQueryFail, s.fp, "shard failure; per-sibling fallback", 0)
-				}
 				return
 			}
 		}

@@ -267,12 +267,22 @@ func GreedyStats(cands []*core.MetaInsight, k int, w Weights) ([]*core.MetaInsig
 // bounds the enumeration to the top candidates by score (0 means the whole
 // candidate set — use with care, the cost is C(N, k)·2^k).
 func ExactTopK(cands []*core.MetaInsight, k int, w Weights, poolSize int) []*core.MetaInsight {
+	out, _ := ExactTopKStats(cands, k, w, poolSize)
+	return out
+}
+
+// ExactTopKStats is ExactTopK plus a SelectionStats report of the work
+// performed; OverlapEvals counts the Overlap terms of every k-subset's
+// inclusion-exclusion TotalUse (2^k − 1 each).
+func ExactTopKStats(cands []*core.MetaInsight, k int, w Weights, poolSize int) ([]*core.MetaInsight, SelectionStats) {
 	pool := sortByScore(cands)
 	if poolSize > 0 && len(pool) > poolSize {
 		pool = pool[:poolSize]
 	}
+	st := SelectionStats{Pool: len(pool)}
 	if k >= len(pool) {
-		return pool
+		st.Selected = len(pool)
+		return pool, st
 	}
 	best := make([]*core.MetaInsight, 0, k)
 	bestUse := math.Inf(-1)
@@ -281,6 +291,7 @@ func ExactTopK(cands []*core.MetaInsight, k int, w Weights, poolSize int) []*cor
 	recurse = func(start int) {
 		if len(current) == k {
 			use := TotalUseExact(current, w)
+			st.OverlapEvals += 1<<k - 1
 			if use > bestUse {
 				bestUse = use
 				best = append(best[:0], current...)
@@ -296,7 +307,8 @@ func ExactTopK(cands []*core.MetaInsight, k int, w Weights, poolSize int) []*cor
 		}
 	}
 	recurse(0)
-	return best
+	st.Selected = len(best)
+	return best, st
 }
 
 // Precision is the top-k set agreement used in Table 4: |golden ∩ got| / |golden|,

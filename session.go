@@ -7,14 +7,14 @@ package metainsight
 // into typed configs attached via SessionOption; per-call knobs (measures,
 // budgets, τ, top-k) travel in the Request.
 //
-// Every Analyze call is hermetic: it runs with fresh query/pattern caches
-// and a fresh meter, so its result — insights, statistics and trace — is
-// bit-identical to a fresh Analyzer run with the same settings, regardless
-// of what the session served before. What the session shares across calls
-// is the expensive read-only state: the dataset's dictionaries, posting
-// lists and zone maps (cached on the dataset itself), and the physical scan
-// substrates (plan caches, accumulator pools, shard partitions), reused
-// from a registry keyed by their full configuration.
+// Every Analyze call is hermetic: it runs with fresh query/pattern caches and a
+// fresh meter, so its result — insights, statistics and trace — is
+// bit-identical to a fresh Analyzer run with the same settings, regardless of
+// what the session served before. What the session shares across calls is the
+// expensive read-only state: the dataset's dictionaries, posting lists and zone
+// maps (cached on the dataset itself), and the physical scan substrates (plan
+// caches, accumulator pools), reused from a registry keyed by their full
+// configuration.
 //
 // The pre-Session construction surface (NewAnalyzer, Analyze and the flat
 // With* options) remains supported as thin deprecated shims over this API;
@@ -36,7 +36,6 @@ import (
 	"metainsight/internal/model"
 	"metainsight/internal/pattern"
 	"metainsight/internal/ranker"
-	"metainsight/internal/shard"
 )
 
 // SessionOption configures a Session at construction. It is the same type
@@ -45,24 +44,10 @@ import (
 // WithDurability configs for new code.
 type SessionOption = Option
 
-// ShardFaultPlan configures the per-shard simulated-remote fault model of
-// sharded execution: a fault/latency policy applied independently per shard
-// (each shard derives its own seed), designated straggler shards, and
-// speculative re-issue for straggler mitigation. See ResilienceConfig.
-type ShardFaultPlan = shard.FaultPlan
-
-// ParseShardFaultSpec parses the CLI's -shard-faults specification: every
-// key of ParseFaultSpec applied per shard, plus slow-shard=N (repeatable),
-// slow-factor=F and speculate-after=C.
-func ParseShardFaultSpec(spec string) (ShardFaultPlan, error) {
-	return shard.ParseFaultPlan(spec)
-}
-
 // ExecConfig groups the execution-layout settings: inter-query parallelism
-// (Workers), intra-scan parallelism (ScanParallelism) and horizontal
-// partitioning (Shards). Zero-valued fields leave the corresponding setting
-// at its prior or default value, so partially-filled configs compose with
-// other options.
+// (Workers) and intra-scan parallelism (ScanParallelism). Zero-valued fields
+// leave the corresponding setting at its prior or default value, so
+// partially-filled configs compose with other options.
 type ExecConfig struct {
 	// Workers is the number of evaluation goroutines (default 8). Results
 	// are bit-identical for any value.
@@ -70,28 +55,11 @@ type ExecConfig struct {
 	// ScanParallelism is how many goroutines one physical scan may use
 	// (default 1). Bit-identical for any value; see WithScanParallelism.
 	ScanParallelism int
-	// Shards, when > 1, partitions the dataset into that many row-range
-	// shards (morsel-boundary aligned, so zone maps survive intact), scans
-	// them concurrently and merges per-shard partial aggregates in
-	// deterministic shard order. Results are bit-identical for any shard
-	// count: shards emit per-block partials that the merge folds in global
-	// block order, so the floating-point addition tree never depends on the
-	// partitioning. 0 or 1 means unsharded.
-	Shards int
-	// ShardBlockRows is the block (morsel) size in rows of sharded
-	// execution; shard boundaries align to it. 0 uses the engine default
-	// (8192). Like WithScanParallelism's morsel size, a different block size
-	// is a different deterministic universe: results are reproducible per
-	// value, not across values.
-	ShardBlockRows int
-	// ShardConcurrency caps how many shards scan concurrently (0 = all).
-	ShardConcurrency int
 }
 
 // ResilienceConfig groups the fault-handling settings: deterministic fault
-// injection, retry/backoff/breaker behavior, the degraded-result threshold,
-// and the per-shard fault plan of sharded execution. Zero-valued fields
-// leave the corresponding setting unchanged.
+// injection, retry/backoff/breaker behavior and the degraded-result
+// threshold. Zero-valued fields leave the corresponding setting unchanged.
 type ResilienceConfig struct {
 	// Faults enables deterministic fault injection on every scan path; a
 	// zero policy injects nothing. See WithFaultPolicy.
@@ -104,14 +72,6 @@ type ResilienceConfig struct {
 	// flagged degraded (Result.Err wraps ErrDegraded). 0 keeps the default
 	// (0.1); negative flags any failure; >= 1 never flags.
 	DegradedThreshold float64
-	// ShardFaults is the per-shard fault plan of sharded execution:
-	// per-shard transient/permanent/latency schedules, straggler shards,
-	// and speculative re-issue (SpeculateAfter). Requires ExecConfig.Shards
-	// > 0. Shard fates are pure functions of each query's fingerprint, so
-	// faulty sharded runs stay bit-reproducible; the speculative winner is
-	// picked by deterministic completion cost with ties to the primary,
-	// never by wall clock.
-	ShardFaults ShardFaultPlan
 }
 
 // DurabilityConfig groups crash-safety: checkpoint journaling and resume.
@@ -135,15 +95,6 @@ func WithExec(c ExecConfig) Option {
 		if c.ScanParallelism != 0 {
 			o.scanPar = c.ScanParallelism
 		}
-		if c.Shards != 0 {
-			o.shards = c.Shards
-		}
-		if c.ShardBlockRows != 0 {
-			o.shardBlock = c.ShardBlockRows
-		}
-		if c.ShardConcurrency != 0 {
-			o.shardConc = c.ShardConcurrency
-		}
 	}
 }
 
@@ -160,9 +111,6 @@ func WithResilience(c ResilienceConfig) Option {
 		}
 		if c.DegradedThreshold != 0 {
 			o.minerCfg.DegradedThreshold = c.DegradedThreshold
-		}
-		if c.ShardFaults.Enabled() {
-			o.shardFaults = c.ShardFaults
 		}
 	}
 }
@@ -274,16 +222,8 @@ var (
 	ErrInvalidTopKPruning = errors.New(
 		"metainsight: WithTopKPruning requires k > 0; omit the option to disable early termination")
 	// ErrNegativeOption: a count or size option (workers, scan parallelism,
-	// shards, cache bytes) was negative.
+	// cache bytes) was negative.
 	ErrNegativeOption = errors.New("metainsight: option value must be non-negative")
-	// ErrShardSubstrateConflict: sharded execution builds its own substrate
-	// and cannot be combined with WithSubstrate.
-	ErrShardSubstrateConflict = errors.New(
-		"metainsight: ExecConfig.Shards and WithSubstrate are mutually exclusive")
-	// ErrShardFaultsWithoutShards: a shard fault plan was configured
-	// without sharded execution.
-	ErrShardFaultsWithoutShards = errors.New(
-		"metainsight: ResilienceConfig.ShardFaults requires ExecConfig.Shards > 0")
 	// ErrSessionClosed: Analyze was called on a closed session.
 	ErrSessionClosed = errors.New("metainsight: session is closed")
 )
@@ -316,26 +256,11 @@ func resolveOptions(opts []Option) (*analyzerOptions, error) {
 	if o.scanPar < 0 {
 		return nil, fmt.Errorf("%w: scan parallelism %d", ErrNegativeOption, o.scanPar)
 	}
-	if o.shards < 0 || o.shardBlock < 0 || o.shardConc < 0 {
-		return nil, fmt.Errorf("%w: shards %d, shard block %d, shard concurrency %d",
-			ErrNegativeOption, o.shards, o.shardBlock, o.shardConc)
-	}
 	if o.qcBytes < 0 || o.pcBytes < 0 {
 		return nil, fmt.Errorf("%w: cache bytes %d/%d", ErrNegativeOption, o.qcBytes, o.pcBytes)
 	}
 	if o.subLimit < 0 {
 		return nil, fmt.Errorf("%w: substrate cache limit %d", ErrNegativeOption, o.subLimit)
-	}
-	if o.shards > 0 && o.substrate != nil {
-		return nil, ErrShardSubstrateConflict
-	}
-	if o.shardFaults.Enabled() {
-		if o.shards <= 0 {
-			return nil, ErrShardFaultsWithoutShards
-		}
-		if err := o.shardFaults.Validate(o.shards); err != nil {
-			return nil, err
-		}
 	}
 	switch {
 	case o.resumeDir != "" && o.ckDir != "" && o.resumeDir != o.ckDir:
@@ -375,18 +300,17 @@ type substrateEntry struct {
 }
 
 // DefaultSubstrateCacheLimit bounds how many distinct physical substrates a
-// session retains. Each distinct substrate-shaping configuration (shard
-// layout, scan parallelism, MIN/MAX column set, fault plan, observer
-// identity) builds one substrate; a resident server handling heterogeneous
-// requests would otherwise grow the registry forever. Override with
-// WithSubstrateCacheLimit.
+// session retains. Each distinct substrate-shaping configuration (scan
+// parallelism, MIN/MAX column set, observer identity) builds one substrate; a
+// resident server handling heterogeneous requests would otherwise grow the
+// registry forever. Override with WithSubstrateCacheLimit.
 const DefaultSubstrateCacheLimit = 16
 
 // WithSubstrateCacheLimit bounds the session's substrate registry to at most
 // n cached physical substrates, evicted least-recently-used first (ties by
 // construction order). 0 keeps DefaultSubstrateCacheLimit. Eviction never
 // changes results — an evicted substrate is rebuilt on next use — it only
-// re-pays partitioning and plan-cache warmup.
+// re-pays plan-cache warmup.
 func WithSubstrateCacheLimit(n int) Option {
 	return func(o *analyzerOptions) { o.subLimit = n }
 }
@@ -522,33 +446,21 @@ func needMinMax(d *Dataset, o *analyzerOptions, extra []Measure) map[string]bool
 }
 
 // substrateFor returns the physical scan substrate for one resolved
-// configuration, reusing a previously built one from the session registry
-// when every substrate-affecting setting matches. Substrates are safe to
-// share: scans are read-only over the dataset, plan caches and accumulator
-// pools are internally synchronized, and reuse never changes results — it
-// only skips re-partitioning and re-planning. A nil receiver (the
-// NewAnalyzer shim path on a fresh throwaway session, or direct builds)
-// builds without caching.
+// configuration, reusing a previously built one from the session registry when
+// every substrate-affecting setting matches. Substrates are safe to share:
+// scans are read-only over the dataset, plan caches and accumulator pools are
+// internally synchronized, and reuse never changes results — it only skips
+// re-planning. A nil receiver (the NewAnalyzer shim path on a fresh throwaway
+// session, or direct builds) builds without caching.
 func (s *Session) substrateFor(d *Dataset, o *analyzerOptions, need map[string]bool) (Substrate, error) {
-	build := func() (Substrate, error) {
-		if o.shards > 0 {
-			return shard.New(d, shard.Config{
-				Shards:          o.shards,
-				Block:           o.shardBlock,
-				ScanParallelism: o.scanPar,
-				MinMax:          need,
-				Concurrency:     o.shardConc,
-				Observer:        o.observer,
-				Faults:          o.shardFaults,
-			})
-		}
+	build := func() Substrate {
 		return engine.NewColumnarSubstrate(d,
 			engine.WithMinMaxColumns(need),
 			engine.WithScanParallelism(o.scanPar),
-			engine.WithScanObserver(o.observer)), nil
+			engine.WithScanObserver(o.observer))
 	}
 	if s == nil {
-		return build()
+		return build(), nil
 	}
 	cols := make([]string, 0, len(need))
 	for c := range need {
@@ -556,10 +468,8 @@ func (s *Session) substrateFor(d *Dataset, o *analyzerOptions, need map[string]b
 	}
 	sort.Strings(cols)
 	// The key covers every input that shapes the substrate, including the
-	// observer identity (substrates bake their observer in) and the full
-	// shard fault plan.
-	key := fmt.Sprintf("shards=%d block=%d conc=%d par=%d mm=%v faults=%+v obs=%p",
-		o.shards, o.shardBlock, o.shardConc, o.scanPar, cols, o.shardFaults, o.observer)
+	// observer identity (substrates bake their observer in).
+	key := fmt.Sprintf("par=%d mm=%v obs=%p", o.scanPar, cols, o.observer)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -570,10 +480,7 @@ func (s *Session) substrateFor(d *Dataset, o *analyzerOptions, need map[string]b
 		e.lastUse = s.useSeq
 		return e.sub, nil
 	}
-	sub, err := build()
-	if err != nil {
-		return nil, err
-	}
+	sub := build()
 	s.subs[key] = &substrateEntry{sub: sub, lastUse: s.useSeq, ctor: s.useSeq}
 	// Bounded registry: evict least-recently-used entries (ties broken by
 	// construction order) until the limit holds. Eviction only drops the

@@ -8,29 +8,31 @@ import (
 	"testing"
 
 	"metainsight"
+	"metainsight/internal/engine"
 )
 
 // TestSessionConcurrentAnalyze drives one shared session from many
-// goroutines with heterogeneous requests — fault injection on — and checks
-// every concurrent outcome against that request's sequential baseline.
+// goroutines with heterogeneous requests — fault injection on, scans split
+// into 64-row morsels run by concurrent scan goroutines — and checks every
+// concurrent outcome against that request's sequential baseline.
 // Hermeticity is the contract under test: concurrent calls share only
 // read-only indexes and substrates, so interleaving must never change
 // results or statistics. Run it under -race (CI does).
 func TestSessionConcurrentAnalyze(t *testing.T) {
 	tab := fracTable(t, 900)
-	plan := metainsight.ShardFaultPlan{
-		Policy: metainsight.FaultPolicy{
-			Seed:          17,
-			TransientRate: 0.04,
-			LatencyRate:   0.1,
-			LatencyUnits:  2,
-		},
-		Retry: metainsight.RetryPolicy{}.WithDefaults(),
-	}
 	sess, err := metainsight.NewSession(tab,
 		metainsight.WithMeasures(metainsight.Sum("Revenue"), metainsight.Sum("Margin")),
-		metainsight.WithExec(metainsight.ExecConfig{Shards: 2, ShardBlockRows: 64}),
-		metainsight.WithResilience(metainsight.ResilienceConfig{ShardFaults: plan}))
+		metainsight.WithSubstrate(engine.NewColumnarSubstrate(tab,
+			engine.WithMorselSize(64), engine.WithScanParallelism(2))),
+		metainsight.WithResilience(metainsight.ResilienceConfig{
+			Faults: metainsight.FaultPolicy{
+				Seed:          17,
+				TransientRate: 0.05,
+				LatencyRate:   0.1,
+				LatencyUnits:  2,
+			},
+			Retry: metainsight.RetryPolicy{}.WithDefaults(),
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +60,9 @@ func TestSessionConcurrentAnalyze(t *testing.T) {
 		}
 		if len(facts.keys) == 0 {
 			t.Fatalf("baseline %d mined nothing", i)
+		}
+		if facts.stats.Retries == 0 {
+			t.Fatalf("baseline %d: 5%% transient rate produced no retries", i)
 		}
 		base[i] = facts
 	}
