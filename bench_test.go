@@ -6,6 +6,7 @@
 package metainsight_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -97,17 +98,16 @@ func BenchmarkMineEndToEnd(b *testing.B) {
 		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				a, err := metainsight.NewAnalyzer(tab,
-					metainsight.WithCostBudget(400),
-					metainsight.WithScanParallelism(par))
+				s, err := metainsight.NewSession(tab, metainsight.WithScanParallelism(par))
 				if err != nil {
 					b.Fatal(err)
 				}
-				res := a.Mine()
-				if res.Err != nil {
-					b.Fatal(res.Err)
+				if _, err := s.Analyze(context.Background(), metainsight.Request{
+					TopK:   10,
+					Budget: metainsight.Budget{Cost: 400},
+				}); err != nil {
+					b.Fatal(err)
 				}
-				a.Rank(res, 10)
 			}
 		})
 	}
@@ -290,17 +290,22 @@ func BenchmarkAblationNoPruning(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeEndToEnd measures the public one-call API on a small
-// dataset, the path a downstream user hits first.
+// BenchmarkAnalyzeEndToEnd measures a single-use session (construct, then
+// one Analyze call) on a small dataset, the path a downstream user hits
+// first.
 func BenchmarkAnalyzeEndToEnd(b *testing.B) {
 	tab := workload.CreditCard()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		insights, err := metainsight.Analyze(tab, 10)
+		s, err := metainsight.NewSession(tab)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(insights) == 0 {
+		an, err := s.Analyze(context.Background(), metainsight.Request{TopK: 10})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(an.Insights) == 0 {
 			b.Fatal("no insights")
 		}
 	}

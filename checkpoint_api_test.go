@@ -30,16 +30,18 @@ func TestCheckpointResumePublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	full, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithCheckpoint(filepath.Join(t.TempDir(), "full"), 8),
+	full, err := metainsight.NewSession(tab,
+		metainsight.WithDurability(metainsight.DurabilityConfig{
+			CheckpointDir: filepath.Join(t.TempDir(), "full"), Every: 8}),
 		metainsight.WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullRes := full.Mine()
-	if fullRes.Err != nil {
-		t.Fatalf("uninterrupted checkpointed run failed: %v", fullRes.Err)
+	fullAn, err := full.Analyze(context.Background(), metainsight.Request{})
+	if err != nil {
+		t.Fatalf("uninterrupted checkpointed run failed: %v", err)
 	}
+	fullRes := fullAn.Result
 	if len(fullRes.MetaInsights) == 0 {
 		t.Fatal("uninterrupted run mined nothing")
 	}
@@ -52,15 +54,20 @@ func TestCheckpointResumePublicAPI(t *testing.T) {
 	// depend on where the run stopped.
 	dir := filepath.Join(t.TempDir(), "ck")
 	ctx, cancel := context.WithCancel(context.Background())
-	interrupted, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithCheckpoint(dir, 8),
-		metainsight.WithWorkers(4),
-		metainsight.WithProgress(func(*metainsight.MetaInsight) { cancel() }))
+	interrupted, err := metainsight.NewSession(tab,
+		metainsight.WithDurability(metainsight.DurabilityConfig{CheckpointDir: dir, Every: 8}),
+		metainsight.WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	intRes := interrupted.MineContext(ctx)
+	intAn, err := interrupted.Analyze(ctx, metainsight.Request{
+		Progress: func(*metainsight.MetaInsight) { cancel() },
+	})
 	cancel()
+	if err != nil {
+		t.Fatalf("interrupted run failed: %v", err)
+	}
+	intRes := intAn.Result
 	if !intRes.Stats.Cancelled {
 		// The run may have finished before the first discovery's cancel
 		// landed; that leaves nothing to resume meaningfully, but resuming
@@ -68,16 +75,17 @@ func TestCheckpointResumePublicAPI(t *testing.T) {
 		t.Log("run completed before cancellation took effect")
 	}
 
-	resumed, err := metainsight.NewAnalyzer(tab,
-		metainsight.ResumeFromCheckpoint(dir),
+	resumed, err := metainsight.NewSession(tab,
+		metainsight.WithDurability(metainsight.DurabilityConfig{CheckpointDir: dir, Resume: true}),
 		metainsight.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resRes := resumed.Mine()
-	if resRes.Err != nil {
-		t.Fatalf("resumed run failed: %v", resRes.Err)
+	resAn, err := resumed.Analyze(context.Background(), metainsight.Request{TopK: 5})
+	if err != nil {
+		t.Fatalf("resumed run failed: %v", err)
 	}
+	resRes := resAn.Result
 	if mineJSON(t, resRes) != mineJSON(t, fullRes) {
 		t.Fatal("resumed run's MetaInsights differ from the uninterrupted run's")
 	}
@@ -90,7 +98,7 @@ func TestCheckpointResumePublicAPI(t *testing.T) {
 	if a != b {
 		t.Fatalf("resumed stats differ from uninterrupted:\n resumed %+v\n full %+v", b, a)
 	}
-	if top := resumed.Rank(resRes, 5); len(top) == 0 {
+	if len(resAn.Insights) == 0 {
 		t.Fatal("ranking the resumed result returned nothing")
 	}
 }
@@ -105,40 +113,38 @@ func TestCheckpointPublicErrors(t *testing.T) {
 	}
 	dir := filepath.Join(t.TempDir(), "ck")
 
-	a, err := metainsight.NewAnalyzer(tab, metainsight.WithCheckpoint(dir, 8))
-	if err != nil {
-		t.Fatal(err)
+	run := func(c metainsight.DurabilityConfig, req metainsight.Request) error {
+		t.Helper()
+		s, err := metainsight.NewSession(tab, metainsight.WithDurability(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		an, err := s.Analyze(context.Background(), req)
+		if an == nil {
+			t.Fatalf("Analyze returned no analysis: %v", err)
+		}
+		return an.Result.Err
 	}
-	if res := a.Mine(); res.Err != nil {
-		t.Fatal(res.Err)
+	fresh := metainsight.DurabilityConfig{CheckpointDir: dir, Every: 8}
+	resume := metainsight.DurabilityConfig{CheckpointDir: dir, Resume: true}
+
+	if err := run(fresh, metainsight.Request{}); err != nil {
+		t.Fatal(err)
 	}
 
 	// A fresh checkpointed run must refuse the already-used directory.
-	b, err := metainsight.NewAnalyzer(tab, metainsight.WithCheckpoint(dir, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := b.Mine(); !errors.Is(res.Err, metainsight.ErrCheckpointExists) {
-		t.Fatalf("fresh run over an existing checkpoint returned %v, want ErrCheckpointExists", res.Err)
+	if err := run(fresh, metainsight.Request{}); !errors.Is(err, metainsight.ErrCheckpointExists) {
+		t.Fatalf("fresh run over an existing checkpoint returned %v, want ErrCheckpointExists", err)
 	}
 
 	// Resuming under a different configuration must be refused.
-	c, err := metainsight.NewAnalyzer(tab,
-		metainsight.ResumeFromCheckpoint(dir), metainsight.WithTau(0.9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := c.Mine(); !errors.Is(res.Err, metainsight.ErrCheckpointMismatch) {
-		t.Fatalf("resume under a different config returned %v, want ErrCheckpointMismatch", res.Err)
+	if err := run(resume, metainsight.Request{Tau: 0.9}); !errors.Is(err, metainsight.ErrCheckpointMismatch) {
+		t.Fatalf("resume under a different config returned %v, want ErrCheckpointMismatch", err)
 	}
 
 	// Resuming a directory that was never checkpointed.
-	d, err := metainsight.NewAnalyzer(tab,
-		metainsight.ResumeFromCheckpoint(filepath.Join(t.TempDir(), "missing")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := d.Mine(); !errors.Is(res.Err, metainsight.ErrNoCheckpoint) {
-		t.Fatalf("resume of a missing directory returned %v, want ErrNoCheckpoint", res.Err)
+	missing := metainsight.DurabilityConfig{CheckpointDir: filepath.Join(t.TempDir(), "missing"), Resume: true}
+	if err := run(missing, metainsight.Request{}); !errors.Is(err, metainsight.ErrNoCheckpoint) {
+		t.Fatalf("resume of a missing directory returned %v, want ErrNoCheckpoint", err)
 	}
 }

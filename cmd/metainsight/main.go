@@ -157,16 +157,9 @@ func run() int {
 		fmt.Printf("  %-30s %s\n", f.Name, f.Kind)
 	}
 
-	opts := []metainsight.SessionOption{
-		metainsight.WithTau(*tau),
-		metainsight.WithMaxSubspaceFilters(*depth),
-		metainsight.WithExec(metainsight.ExecConfig{
-			Workers:         *workers,
-			ScanParallelism: *scanPar,
-		}),
-	}
-	if *topKCut > 0 {
-		opts = append(opts, metainsight.WithTopKPruning(*topKCut))
+	opts := []metainsight.Option{
+		metainsight.WithWorkers(*workers),
+		metainsight.WithScanParallelism(*scanPar),
 	}
 	resilience := metainsight.ResilienceConfig{}
 	if *faultsS != "" {
@@ -189,8 +182,11 @@ func run() int {
 		}))
 	}
 	req := metainsight.Request{
-		TopK:   *k,
-		Budget: metainsight.Budget{Time: *budget},
+		TopK:        *k,
+		MaxFilters:  *depth,
+		Budget:      metainsight.Budget{Time: *budget},
+		Tau:         *tau,
+		TopKPruning: *topKCut,
 	}
 	if *trace != "" || *metrics {
 		obOpts := metainsight.ObserverOptions{}

@@ -3,6 +3,7 @@ package dataset
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"metainsight/internal/model"
@@ -72,11 +73,7 @@ func sortedKeys(m map[int32]bool) []int32 {
 	for v := range m {
 		out = append(out, v)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -203,14 +203,42 @@ type Config struct {
 	Faults *faults.Injector
 }
 
-// New creates an engine over tab.
-func New(tab *dataset.Table, cfg Config) (*Engine, error) {
+// withMeasureDefaults fills in the default measure set
+// (Table.DefaultMeasures) and impact measure (COUNT(*)).
+func (cfg Config) withMeasureDefaults(tab *dataset.Table) Config {
 	if cfg.Measures == nil {
 		cfg.Measures = tab.DefaultMeasures()
 	}
 	if cfg.ImpactMeasure == (model.Measure{}) {
 		cfg.ImpactMeasure = model.Count("*")
 	}
+	return cfg
+}
+
+// MinMaxColumns derives the needed-aggregate set of an engine built with cfg
+// over tab: the measure columns some measure in Measures ∪ ExtraMeasures ∪
+// {ImpactMeasure} (after defaulting) aggregates with AggMin/AggMax. New
+// materializes MIN/MAX arrays in its default substrate only for these
+// columns; a caller that builds the substrate itself must pass the same set
+// to WithMinMaxColumns. The set is non-nil (possibly empty) so undeclared
+// MIN/MAX queries surface as "unit lacks column" rather than silently paying
+// for every column.
+func MinMaxColumns(tab *dataset.Table, cfg Config) map[string]bool {
+	cfg = cfg.withMeasureDefaults(tab)
+	need := make(map[string]bool)
+	for _, ms := range [][]model.Measure{cfg.Measures, cfg.ExtraMeasures, {cfg.ImpactMeasure}} {
+		for _, m := range ms {
+			if m.Agg == model.AggMin || m.Agg == model.AggMax {
+				need[m.Column] = true
+			}
+		}
+	}
+	return need
+}
+
+// New creates an engine over tab.
+func New(tab *dataset.Table, cfg Config) (*Engine, error) {
+	cfg = cfg.withMeasureDefaults(tab)
 	if !cfg.ImpactMeasure.Agg.Additive() {
 		return nil, fmt.Errorf("engine: impact measure %s is not additive", cfg.ImpactMeasure)
 	}
@@ -224,20 +252,8 @@ func New(tab *dataset.Table, cfg Config) (*Engine, error) {
 		cfg.Meter = &Meter{}
 	}
 	if cfg.Substrate == nil {
-		// Derive the needed-aggregate set: MIN/MAX arrays are materialized
-		// only for columns some declared measure aggregates that way. The set
-		// is non-nil (possibly empty) so undeclared MIN/MAX queries surface as
-		// "unit lacks column" rather than silently paying for every column.
-		need := make(map[string]bool)
-		for _, ms := range [][]model.Measure{cfg.Measures, cfg.ExtraMeasures, {cfg.ImpactMeasure}} {
-			for _, m := range ms {
-				if m.Agg == model.AggMin || m.Agg == model.AggMax {
-					need[m.Column] = true
-				}
-			}
-		}
 		cfg.Substrate = NewColumnarSubstrate(tab,
-			WithMinMaxColumns(need),
+			WithMinMaxColumns(MinMaxColumns(tab, cfg)),
 			WithScanParallelism(cfg.ScanParallelism),
 			WithScanObserver(cfg.Observer))
 	}
@@ -312,6 +328,10 @@ func (e *Engine) Meter() *Meter { return e.meter }
 
 // QueryCache returns the engine's query cache.
 func (e *Engine) QueryCache() *cache.QueryCache { return e.qc }
+
+// Substrate returns the engine's physical scan layer: the one passed in
+// Config.Substrate, or the columnar substrate New derived.
+func (e *Engine) Substrate() Substrate { return e.sub }
 
 // Faults returns the engine's fault injector (possibly nil). The miner uses
 // it to recompute resolutions during canonical commit-order replay.

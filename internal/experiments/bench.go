@@ -239,7 +239,7 @@ func Bench(w io.Writer, outPath string) error {
 			fn = func(b *testing.B) {
 				tab := workload.CreditCard()
 				sess, err := metainsight.NewSession(tab,
-					metainsight.WithExec(metainsight.ExecConfig{ScanParallelism: par}))
+					metainsight.WithScanParallelism(par))
 				if err != nil {
 					b.Fatal(err)
 				}

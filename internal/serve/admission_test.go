@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"metainsight/internal/obs"
 )
 
 func (a *admission) waitQueued(t *testing.T, n int) {
@@ -80,7 +82,8 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 func TestAdmissionDeadlineUnattainableShedsImmediately(t *testing.T) {
 	// Seed a one-hour service-time estimate: a 50ms-deadline request must be
 	// rejected up front, not queued to die.
-	a := newAdmission(AdmissionConfig{MaxConcurrent: 1, ExpectedServiceTime: time.Hour}, nil)
+	ob := obs.New(obs.Options{})
+	a := newAdmission(AdmissionConfig{MaxConcurrent: 1, ExpectedServiceTime: time.Hour}, ob)
 	p, err := a.Acquire(context.Background(), "t1")
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
@@ -89,7 +92,6 @@ func TestAdmissionDeadlineUnattainableShedsImmediately(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	start := time.Now()
 	_, aerr := a.Acquire(ctx, "t2")
 	if aerr == nil {
 		t.Fatal("acquire with hopeless deadline succeeded")
@@ -100,10 +102,18 @@ func TestAdmissionDeadlineUnattainableShedsImmediately(t *testing.T) {
 	if aerr.RetryAfter <= 0 {
 		t.Fatal("deadline_unattainable shed carries no retry hint")
 	}
-	// "Immediately" is the contract: the request must not have waited out
-	// its deadline in the queue.
-	if waited := time.Since(start); waited > 40*time.Millisecond {
-		t.Fatalf("shed took %v; must reject without queuing", waited)
+	// "Immediately" is the contract: the request is shed before it is ever
+	// enqueued, so it is counted as unattainable, never as expired in the
+	// queue, and no waiter is left behind.
+	snap := ob.Snapshot()
+	if n := snap.Counters["serve.shed.deadline_unattainable"]; n != 1 {
+		t.Fatalf("serve.shed.deadline_unattainable = %d, want 1", n)
+	}
+	if n := snap.Counters["serve.shed.deadline_expired"]; n != 0 {
+		t.Fatalf("serve.shed.deadline_expired = %d, want 0", n)
+	}
+	if d, ok := snap.Gauges["serve.queue.depth"]; !ok || d != 0 {
+		t.Fatalf("serve.queue.depth = %v (recorded %v), want 0", d, ok)
 	}
 	if _, q := a.snapshot(); q != 0 {
 		t.Fatalf("shed request left %d waiters queued", q)

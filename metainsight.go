@@ -22,25 +22,23 @@
 //		fmt.Println(in.Description())
 //	}
 //
-// Per-call knobs (budgets, measures, τ) travel in the Request;
-// construction-time settings are grouped into typed configs:
+// Every setting has one spelling. Per-call knobs (budgets, measures, τ,
+// top-k) travel in the Request; construction-time settings (execution
+// layout, resilience, durability, custom patterns) are Options to
+// NewSession:
 //
 //	s, err := metainsight.NewSession(tab,
-//		metainsight.WithExec(metainsight.ExecConfig{Workers: 8, ScanParallelism: 4}),
+//		metainsight.WithWorkers(8),
+//		metainsight.WithScanParallelism(4),
 //	)
 //	an, err := s.Analyze(ctx, metainsight.Request{
 //		TopK:   10,
 //		Budget: metainsight.Budget{Time: 5 * time.Second},
 //		Tau:    0.5,
 //	})
-//
-// The pre-Session surface (Analyze, NewAnalyzer and the flat With*
-// options) remains supported as deprecated shims over the Session API; see
-// README.md for the migration table.
 package metainsight
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -98,8 +96,9 @@ type (
 	// like the built-ins.
 	CustomPattern = pattern.CustomEvaluator
 	// Observer collects metrics, phase timings and (optionally) a structured
-	// run trace from an analysis. Attach one with WithObserver; read it back
-	// with Analyzer.Snapshot or Observer.Trace. Observers are provably inert:
+	// run trace from an analysis. Attach one with WithObserver or
+	// Request.Observer; read it back with Analysis.Snapshot or
+	// Observer.Trace. Observers are provably inert:
 	// attaching one never changes mining results or statistics.
 	Observer = obs.Observer
 	// ObserverOptions configures NewObserver.
@@ -116,11 +115,12 @@ type (
 	Substrate = engine.Substrate
 	// FaultPolicy configures deterministic fault injection: seeded, fingerprint-
 	// keyed transient/permanent failures and simulated latency, for resilience
-	// testing without giving up reproducibility. Attach with WithFaultPolicy.
+	// testing without giving up reproducibility. Attach as
+	// ResilienceConfig.Faults.
 	FaultPolicy = faults.Policy
 	// RetryPolicy configures the retry/backoff/deadline/circuit-breaker
-	// behavior of the fault-tolerant query substrate. Attach with
-	// WithRetryPolicy.
+	// behavior of the fault-tolerant query substrate. Attach as
+	// ResilienceConfig.Retry.
 	RetryPolicy = faults.RetryPolicy
 	// LoadStats counts what CSV ingestion kept and dropped
 	// (Dataset.LoadStats).
@@ -150,8 +150,8 @@ var ErrQueryFailed = faults.ErrQueryFailed
 // Checkpoint/resume sentinels; test with errors.Is on MiningResult.Err or
 // the error returned by Analyze.
 var (
-	// ErrNoCheckpoint: ResumeFromCheckpoint found no usable checkpoint in
-	// the directory.
+	// ErrNoCheckpoint: a resume (DurabilityConfig.Resume) found no usable
+	// checkpoint in the directory.
 	ErrNoCheckpoint = checkpoint.ErrNoCheckpoint
 	// ErrCheckpointCorrupt: a checkpoint file failed validation (bad magic,
 	// CRC mismatch on a complete frame, non-contiguous journal, trailing
@@ -161,8 +161,9 @@ var (
 	// ErrCheckpointVersion: the checkpoint was written by an incompatible
 	// format version.
 	ErrCheckpointVersion = checkpoint.ErrVersion
-	// ErrCheckpointExists: WithCheckpoint refuses to overwrite a directory
-	// that already holds a checkpoint; resume it or remove it explicitly.
+	// ErrCheckpointExists: a fresh checkpointed run refuses to overwrite a
+	// directory that already holds a checkpoint; resume it or remove it
+	// explicitly.
 	ErrCheckpointExists = checkpoint.ErrExists
 	// ErrCheckpointMismatch: the checkpoint was written under a different
 	// mining configuration (dataset, measures, scoring, caches, faults or
@@ -286,30 +287,18 @@ func WithBadMeasures(p RowPolicy) LoadOption {
 	return func(o *dataset.LoadOptions) { o.BadMeasures = p }
 }
 
-// Analyzer runs MetaInsight mining and ranking over one dataset.
-type Analyzer struct {
-	eng        *engine.Engine
-	meter      *engine.Meter
-	cfg        miner.Config
-	wts        ranker.Weights
-	obs        *obs.Observer
-	timeBudget time.Duration // anchored at each Mine call
-}
+// Option configures a Session at construction.
+type Option func(*sessionConfig)
 
-// Option customizes an Analyzer.
-type Option func(*analyzerOptions)
-
-type analyzerOptions struct {
-	measures       []Measure
-	impact         Measure
+// sessionConfig is the resolved configuration of one Session. NewSession
+// applies the options once; Analyze copies the result and writes the
+// Request's per-call fields into the copy.
+type sessionConfig struct {
 	minerCfg       miner.Config
 	customPatterns []CustomPattern
 	correlations   [][2]Measure
-	timeBudget     time.Duration
-	costBudget     float64
 	disableQC      bool
 	disablePC      bool
-	weights        ranker.Weights
 	observer       *obs.Observer
 	substrate      Substrate
 	faultPolicy    FaultPolicy
@@ -317,63 +306,34 @@ type analyzerOptions struct {
 	retrySet       bool
 	qcBytes        int64
 	pcBytes        int64
-	checkpoint     *miner.CheckpointSpec
 	scanPar        int
+	subLimit       int
+	ckDir          string
+	ckEvery        int64
+	resumeDir      string
+	checkpoint     *miner.CheckpointSpec
 
-	// Fields below are written by the Session-surface options (session.go)
-	// and by the reworked checkpoint options; resolveOptions validates and
-	// lowers them.
-	topKSet   bool
-	ckDir     string
-	ckEvery   int64
-	resumeDir string
-	subLimit  int
-}
-
-// WithMeasures sets the measure set M (default: SUM over every measure
-// column plus COUNT(*)).
-func WithMeasures(ms ...Measure) Option {
-	return func(o *analyzerOptions) { o.measures = ms }
-}
-
-// WithImpactMeasure sets the impact measure (must be SUM or COUNT; default
-// COUNT(*), as in the paper's evaluation).
-func WithImpactMeasure(m Measure) Option {
-	return func(o *analyzerOptions) { o.impact = m }
-}
-
-// WithTimeBudget bounds mining by wall-clock time; mining is progressive
-// and returns the best-so-far MetaInsights at the deadline.
-func WithTimeBudget(d time.Duration) Option {
-	return func(o *analyzerOptions) { o.timeBudget = d }
-}
-
-// WithCostBudget bounds mining by deterministic engine cost units (one unit
-// approximates a millisecond of an IPC-backed query substrate). Runs with a
-// cost budget are exactly reproducible.
-func WithCostBudget(units float64) Option {
-	return func(o *analyzerOptions) { o.costBudget = units }
+	// Per-call fields, written from the Request by Analyze.
+	measures   []Measure
+	impact     Measure
+	timeBudget time.Duration
+	costBudget float64
 }
 
 // WithWorkers sets the evaluation worker count (default 8, as in the paper).
+// Results are bit-identical for any value.
 func WithWorkers(n int) Option {
-	return func(o *analyzerOptions) { o.minerCfg.Workers = n }
+	return func(o *sessionConfig) { o.minerCfg.Workers = n }
 }
 
-// WithTau sets the commonness threshold τ (default 0.5). Only τ is touched:
-// other score parameters set before or after this option are preserved, and
-// any left at zero are lazily defaulted when mining starts.
-func WithTau(tau float64) Option {
-	return func(o *analyzerOptions) { o.minerCfg.Score.Tau = tau }
-}
-
-// WithObserver attaches an observability collector to the analysis: atomic
-// metrics and phase timers, plus (if the observer was built with a trace
-// capacity) a structured run trace recorded in deterministic commit order.
-// The observer is inert — results and statistics are bit-identical with or
-// without it, at any worker count. Read it back with Analyzer.Snapshot.
+// WithObserver attaches an observability collector to every analysis of the
+// session (Request.Observer overrides it for one call): atomic metrics and
+// phase timers, plus (if the observer was built with a trace capacity) a
+// structured run trace recorded in deterministic commit order. The observer
+// is inert — results and statistics are bit-identical with or without it,
+// at any worker count. Read it back with Analysis.Snapshot.
 func WithObserver(ob *Observer) Option {
-	return func(o *analyzerOptions) { o.observer = ob }
+	return func(o *sessionConfig) { o.observer = ob }
 }
 
 // WithScanParallelism sets how many goroutines one physical scan of the
@@ -385,60 +345,23 @@ func WithObserver(ob *Observer) Option {
 // order, so the floating-point grouping never depends on n. Ignored when
 // WithSubstrate replaces the default substrate.
 func WithScanParallelism(n int) Option {
-	return func(o *analyzerOptions) { o.scanPar = n }
-}
-
-// WithMaxSubspaceFilters caps subspace depth (default 3).
-func WithMaxSubspaceFilters(n int) Option {
-	return func(o *analyzerOptions) { o.minerCfg.MaxSubspaceFilters = n }
-}
-
-// WithTopKPruning enables S*-bounded early termination: once k MetaInsights
-// are committed, candidates whose score upper bound (Lemma 4.1's S* combined
-// with the impact term of Equation 18) cannot strictly beat the k-th best
-// committed score are cut before evaluation, so their sibling scans never
-// run. Every MetaInsight whose score strictly exceeds the run's final k-th
-// best score is still mined, so the score-ordered top k is preserved; mine
-// with headroom (e.g. 2–4× the suggestion count) when ranking with diversity
-// weights, which may promote lower-scoring insights. Zero (the default)
-// disables termination and mines the complete candidate set.
-func WithTopKPruning(k int) Option {
-	return func(o *analyzerOptions) { o.minerCfg.TopK = k; o.topKSet = true }
-}
-
-// WithoutBoundPruning disables the impact-sum bound cuts (on by default):
-// the miner issues every frontier query instead of skipping candidates whose
-// precomputed impact upper bound cannot reach the pruning thresholds. Mined
-// MetaInsights are identical either way — the bounds are sound, so a cut
-// candidate would have been discarded after its scan — making this toggle an
-// ablation/debugging knob for comparing query counts and costs.
-func WithoutBoundPruning() Option {
-	return func(o *analyzerOptions) { o.minerCfg.EnableBoundPruning = false }
+	return func(o *sessionConfig) { o.scanPar = n }
 }
 
 // WithoutQueryCache disables the query cache (ablation runs).
 func WithoutQueryCache() Option {
-	return func(o *analyzerOptions) { o.disableQC = true }
+	return func(o *sessionConfig) { o.disableQC = true }
 }
 
 // WithoutPatternCache disables the pattern cache (ablation runs).
 func WithoutPatternCache() Option {
-	return func(o *analyzerOptions) { o.disablePC = true }
+	return func(o *sessionConfig) { o.disablePC = true }
 }
 
 // WithFIFOQueues replaces the impact-ordered priority queues with FIFO
 // queues (ablation runs).
 func WithFIFOQueues() Option {
-	return func(o *analyzerOptions) { o.minerCfg.UsePriorityQueues = false }
-}
-
-// WithProgress registers a callback invoked whenever the miner stores a new
-// MetaInsight, enabling progressive display during a budgeted run. The
-// callback is invoked serially from the miner's dispatcher goroutine, in
-// deterministic discovery order; it should be fast (it runs on the mining
-// path, pausing unit commits while it executes).
-func WithProgress(fn func(*MetaInsight)) Option {
-	return func(o *analyzerOptions) { o.minerCfg.OnMetaInsight = fn }
+	return func(o *sessionConfig) { o.minerCfg.UsePriorityQueues = false }
 }
 
 // WithCorrelationPatterns registers, per (primary, secondary) measure pair,
@@ -452,7 +375,7 @@ func WithProgress(fn func(*MetaInsight)) Option {
 // commonness and exceptions then read e.g. "for most Cities, Sales and
 // Profit are positively correlated, except …".
 func WithCorrelationPatterns(pairs ...[2]Measure) Option {
-	return func(o *analyzerOptions) {
+	return func(o *sessionConfig) {
 		o.correlations = append(o.correlations, pairs...)
 	}
 }
@@ -461,15 +384,9 @@ func WithCorrelationPatterns(pairs ...[2]Measure) Option {
 // (Section 3.1's extensibility). Each custom pattern is assigned a Type and
 // evaluated on every data scope alongside the built-in eleven.
 func WithCustomPatternTypes(evals ...CustomPattern) Option {
-	return func(o *analyzerOptions) {
+	return func(o *sessionConfig) {
 		o.customPatterns = append(o.customPatterns, evals...)
 	}
-}
-
-// WithRankingWeights overrides the overlap-ratio weights of the ranking
-// stage.
-func WithRankingWeights(w ranker.Weights) Option {
-	return func(o *analyzerOptions) { o.weights = w }
 }
 
 // WithSubstrate replaces the physical scan layer behind the query engine
@@ -477,25 +394,7 @@ func WithRankingWeights(w ranker.Weights) Option {
 // returned by a custom substrate are retried per the retry policy and, if
 // permanent, skipped-but-accounted (Stats.FailedUnits).
 func WithSubstrate(s Substrate) Option {
-	return func(o *analyzerOptions) { o.substrate = s }
-}
-
-// WithFaultPolicy enables deterministic fault injection on every scan path:
-// seeded transient/permanent failures and simulated latency, keyed by each
-// query's canonical fingerprint (never wall-clock or shared RNG), so a faulty
-// run is exactly as reproducible — including across worker counts — as a
-// clean one. A zero policy injects nothing.
-func WithFaultPolicy(p FaultPolicy) Option {
-	return func(o *analyzerOptions) { o.faultPolicy = p }
-}
-
-// WithRetryPolicy configures retries with capped exponential backoff and
-// deterministic jitter, per-query cost deadlines, and the consecutive-failure
-// circuit breaker. Zero-value fields take the defaults
-// (RetryPolicy.WithDefaults). Only meaningful together with WithFaultPolicy
-// or a failure-capable WithSubstrate.
-func WithRetryPolicy(r RetryPolicy) Option {
-	return func(o *analyzerOptions) { o.retryPolicy = r; o.retrySet = true }
+	return func(o *sessionConfig) { o.substrate = s }
 }
 
 // WithCacheBytes bounds the query and pattern caches to the given byte
@@ -503,170 +402,15 @@ func WithRetryPolicy(r RetryPolicy) Option {
 // canonical commit-order simulation makes the reported Stats.Evictions — and
 // everything downstream — deterministic at any worker count.
 func WithCacheBytes(queryBytes, patternBytes int64) Option {
-	return func(o *analyzerOptions) { o.qcBytes = queryBytes; o.pcBytes = patternBytes }
+	return func(o *sessionConfig) { o.qcBytes = queryBytes; o.pcBytes = patternBytes }
 }
 
-// WithDegradedThreshold sets the query failure rate above which a run is
-// flagged degraded (MiningResult.Err wraps ErrDegraded; default 0.1). Set
-// negative to flag any failure, or >= 1 to never flag.
-func WithDegradedThreshold(f float64) Option {
-	return func(o *analyzerOptions) { o.minerCfg.DegradedThreshold = f }
-}
-
-// WithCheckpoint makes mining crash-safe: the miner journals every committed
-// unit to dir (an append-only, CRC-framed log of the canonical commit
-// stream) and writes an atomic snapshot of its full state every `every`
-// commits (default 256 when every <= 0) plus once at loop exit. After a
-// crash or cancellation, ResumeFromCheckpoint(dir) continues the run where
-// it left off. The directory must not already hold a checkpoint
-// (ErrCheckpointExists otherwise). Checkpointing requires the deterministic
-// budget kinds — cost budget or unbounded — to guarantee a resumed run is
-// bit-identical to an uninterrupted one; a time budget re-anchors at resume.
-func WithCheckpoint(dir string, every int64) Option {
-	return func(o *analyzerOptions) { o.ckDir = dir; o.ckEvery = every }
-}
-
-// ResumeFromCheckpoint resumes a crashed or cancelled run from the
-// checkpoint directory: the latest valid snapshot is restored, the journal
-// tail (tolerating a torn final record) is replayed by deterministic
-// re-execution — which also re-primes the caches — and mining re-enters its
-// loop on the pending work. The resumed run's results, statistics and trace
-// continue exactly where the interrupted run stopped, at any worker count.
-// Checkpointing continues into the same directory. Combining it with
-// WithCheckpoint is allowed only when both name the same directory
-// (ErrConflictingCheckpoints otherwise), in which case the WithCheckpoint
-// snapshot cadence applies to the resumed run.
-func ResumeFromCheckpoint(dir string) Option {
-	return func(o *analyzerOptions) { o.resumeDir = dir }
-}
-
-// ErrConflictingBudgets is returned by NewAnalyzer when both WithTimeBudget
-// and WithCostBudget are supplied. The two budgets have incompatible
+// ErrConflictingBudgets is returned by Session.Analyze when a Request sets
+// both Budget.Time and Budget.Cost. The two budgets have incompatible
 // semantics — cost budgets are deterministic and reproducible, time budgets
 // are not — so the library refuses to guess which one should win.
 var ErrConflictingBudgets = errors.New(
-	"metainsight: WithTimeBudget and WithCostBudget are mutually exclusive; pick one")
-
-// NewAnalyzer creates an analyzer over a dataset.
-//
-// Deprecated: NewAnalyzer is the pre-Session construction surface, kept as
-// a thin shim over NewSession; use NewSession and Session.Analyze (see the
-// migration table in README.md). Both surfaces funnel through the same
-// construction path, so results, statistics and traces are bit-identical
-// across them.
-func NewAnalyzer(d *Dataset, opts ...Option) (*Analyzer, error) {
-	s, err := NewSession(d, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return s.analyzer(Request{})
-}
-
-// Mine runs the mining procedure, returning every qualified MetaInsight
-// candidate (deduplicated, score-descending) plus run statistics. It is
-// MineContext with a background context.
-func (a *Analyzer) Mine() *MiningResult { return a.MineContext(context.Background()) }
-
-// MineContext is Mine with cancellation: the context is checked at every
-// unit-commit boundary, so a cancelled run stops on a whole-unit boundary and
-// returns the best-so-far MetaInsights with Stats.Cancelled set. A run is
-// never torn mid-commit — everything in the result was fully accounted.
-func (a *Analyzer) MineContext(ctx context.Context) *MiningResult {
-	cfg := a.cfg
-	// Time budgets anchor at the call to Mine, not at analyzer creation,
-	// and never override an explicit cost budget.
-	if a.timeBudget > 0 && cfg.Budget == nil {
-		cfg.Budget = engine.NewTimeBudget(a.timeBudget)
-	}
-	return miner.New(a.eng, cfg).RunContext(ctx)
-}
-
-// Rank selects the top-k MetaInsights with high usefulness and low
-// inter-MetaInsight redundancy (the paper's greedy second-order algorithm).
-func (a *Analyzer) Rank(result *MiningResult, k int) []*Insight {
-	t0 := time.Now()
-	top, sel := ranker.GreedyStats(result.MetaInsights, k, a.wts)
-	if a.obs.Enabled() {
-		a.obs.Phase(obs.PhaseRank, time.Since(t0))
-		a.obs.SetGauge("ranker.pool", float64(sel.Pool))
-		a.obs.SetGauge("ranker.selected", float64(sel.Selected))
-		a.obs.SetGauge("ranker.overlap_evals", float64(sel.OverlapEvals))
-	}
-	out := make([]*Insight, len(top))
-	for i, mi := range top {
-		out[i] = &Insight{mi: mi, namer: a.cfg.Pattern.TypeName}
-	}
-	return out
-}
-
-// Snapshot publishes the engine's meter and cache statistics as gauges into
-// the attached observer, then returns a point-in-time copy of all metrics,
-// phase timers and trace totals. Without an observer it returns an empty
-// snapshot. Reading a snapshot never perturbs the analysis.
-func (a *Analyzer) Snapshot() MetricsSnapshot {
-	if !a.obs.Enabled() {
-		return MetricsSnapshot{}
-	}
-	a.obs.SetGauge("engine.cost_units", a.meter.Cost())
-	a.obs.SetGauge("engine.queries.executed", float64(a.meter.ExecutedQueries()))
-	a.obs.SetGauge("engine.queries.served", float64(a.meter.ServedQueries()))
-	a.obs.SetGauge("engine.queries.augmented", float64(a.meter.AugmentedQueries()))
-	qs := a.eng.QueryCache().Stats()
-	a.obs.SetGauge("cache.query.hits", float64(qs.Hits))
-	a.obs.SetGauge("cache.query.misses", float64(qs.Misses))
-	a.obs.SetGauge("cache.query.entries", float64(qs.Entries))
-	a.obs.SetGauge("cache.query.bytes", float64(qs.Bytes))
-	for i, ss := range a.eng.QueryCache().ShardStats() {
-		a.obs.SetGauge(fmt.Sprintf("cache.query.shard.%02d.entries", i), float64(ss.Entries))
-	}
-	ps := a.cfg.PatternCache.Stats()
-	a.obs.SetGauge("cache.pattern.hits", float64(ps.Hits))
-	a.obs.SetGauge("cache.pattern.misses", float64(ps.Misses))
-	a.obs.SetGauge("cache.pattern.entries", float64(ps.Entries))
-	for i, ss := range a.cfg.PatternCache.ShardStats() {
-		a.obs.SetGauge(fmt.Sprintf("cache.pattern.shard.%02d.entries", i), float64(ss.Entries))
-	}
-	return a.obs.Snapshot()
-}
-
-// Observer returns the attached observer (nil when none was attached), for
-// direct access to the trace ring.
-func (a *Analyzer) Observer() *Observer { return a.obs }
-
-// Engine exposes the underlying query engine for advanced use (issuing
-// basic/augmented queries directly).
-func (a *Analyzer) Engine() *engine.Engine { return a.eng }
-
-// Analyze is the one-call API: mine with default configuration and return
-// the top-k ranked insights. It is AnalyzeContext with a background context.
-//
-// Deprecated: use NewSession and Session.Analyze with Request{TopK: k}; a
-// session amortizes dataset indexing and substrate construction across
-// calls. This shim delegates to a single-use session and behaves
-// identically.
-func Analyze(d *Dataset, k int, opts ...Option) ([]*Insight, error) {
-	return AnalyzeContext(context.Background(), d, k, opts...)
-}
-
-// AnalyzeContext is Analyze with cancellation; see MineContext for the
-// cancellation contract. A cancelled run still ranks and returns whatever
-// was mined before the cancellation point. Under an active fault policy the
-// returned error may wrap ErrDegraded — the insights are still valid
-// best-effort output, so check errors.Is(err, ErrDegraded) before discarding
-// them.
-//
-// Deprecated: use NewSession and Session.Analyze with Request{TopK: k}.
-func AnalyzeContext(ctx context.Context, d *Dataset, k int, opts ...Option) ([]*Insight, error) {
-	s, err := NewSession(d, opts...)
-	if err != nil {
-		return nil, err
-	}
-	an, err := s.Analyze(ctx, Request{TopK: k})
-	if an == nil {
-		return nil, err
-	}
-	return an.Insights, err
-}
+	"metainsight: Budget.Time and Budget.Cost are mutually exclusive; pick one")
 
 // correlationEvaluator builds the scope-aware evaluator behind
 // WithCorrelationPatterns: it fetches the secondary measure's series for the
@@ -755,34 +499,15 @@ func (in *Insight) MarshalJSON() ([]byte, error) {
 	return json.Marshal(render.ToJSON(in.mi, in.namer))
 }
 
-// WriteReport renders the given insights as a markdown EDA report: one
-// section per insight with its narrative, score breakdown, commonness
-// membership, categorized exceptions, sparklines of the raw distributions
-// and an optional flat-list appendix.
-func (a *Analyzer) WriteReport(w io.Writer, insights []*Insight, title string) error {
-	mis := make([]*core.MetaInsight, len(insights))
-	for i, in := range insights {
-		mis[i] = in.mi
-	}
-	return render.MarkdownReport(w, mis, render.ReportOptions{
-		Title:      title,
-		FlatList:   true,
-		Sparklines: true,
-		Engine:     a.eng,
-		Namer:      a.cfg.Pattern.TypeName,
-	})
-}
-
 // NewProgressiveRanker returns a live diversified top-k maintainer for
-// budgeted runs: register its Add method with WithProgress and read TopK at
-// any time while mining is still in flight.
+// budgeted runs: register its Add method as Request.Progress and read TopK
+// at any time while mining is still in flight.
 //
 //	prog := metainsight.NewProgressiveRanker(10)
-//	a, _ := metainsight.NewAnalyzer(tab,
-//		metainsight.WithTimeBudget(30*time.Second),
-//		metainsight.WithProgress(prog.Add),
-//	)
-//	go a.Mine()
+//	go s.Analyze(ctx, metainsight.Request{
+//		Budget:   metainsight.Budget{Time: 30 * time.Second},
+//		Progress: prog.Add,
+//	})
 //	... // prog.TopK() serves the current suggestion
 func NewProgressiveRanker(k int) *ranker.Progressive {
 	return ranker.NewProgressive(k, ranker.DefaultWeights(), 0)

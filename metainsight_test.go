@@ -1,6 +1,7 @@
 package metainsight_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -33,17 +34,30 @@ func houseRecords() ([]string, [][]string) {
 	return header, records
 }
 
+// sales is the houses table's one mined measure.
+var sales = []metainsight.Measure{metainsight.Sum("Sales")}
+
+// analyze runs one request on a fresh session built with opts.
+func analyze(t testing.TB, tab *metainsight.Dataset, req metainsight.Request, opts ...metainsight.Option) *metainsight.Analysis {
+	t.Helper()
+	s, err := metainsight.NewSession(tab, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := s.Analyze(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return an
+}
+
 func TestAnalyzeEndToEnd(t *testing.T) {
 	header, records := houseRecords()
 	tab, err := metainsight.FromRecords("houses", header, records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	insights, err := metainsight.Analyze(tab, 5,
-		metainsight.WithMeasures(metainsight.Sum("Sales")))
-	if err != nil {
-		t.Fatal(err)
-	}
+	insights := analyze(t, tab, metainsight.Request{TopK: 5, Measures: sales}).Insights
 	if len(insights) == 0 {
 		t.Fatal("no insights")
 	}
@@ -113,30 +127,19 @@ func TestAnalyzerBudgetsAndAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cost budget: deterministic and progressive.
-	a1, err := metainsight.NewAnalyzer(tab, metainsight.WithCostBudget(30), metainsight.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := a1.Mine()
-	a2, err := metainsight.NewAnalyzer(tab, metainsight.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := a2.Mine()
+	small := analyze(t, tab, metainsight.Request{Budget: metainsight.Budget{Cost: 30}},
+		metainsight.WithWorkers(1)).Result
+	full := analyze(t, tab, metainsight.Request{}, metainsight.WithWorkers(1)).Result
 	if len(small.MetaInsights) > len(full.MetaInsights) {
 		t.Error("budgeted run found more than the full run")
 	}
 	// Ablation options must not change the unbudgeted result set.
-	a3, err := metainsight.NewAnalyzer(tab,
+	ablated := analyze(t, tab, metainsight.Request{},
 		metainsight.WithoutQueryCache(),
 		metainsight.WithoutPatternCache(),
 		metainsight.WithFIFOQueues(),
 		metainsight.WithWorkers(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ablated := a3.Mine()
+	).Result
 	if len(ablated.MetaInsights) != len(full.MetaInsights) {
 		t.Errorf("ablations changed results: %d vs %d", len(ablated.MetaInsights), len(full.MetaInsights))
 	}
@@ -151,12 +154,8 @@ func TestWithTimeBudgetStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := metainsight.NewAnalyzer(tab, metainsight.WithTimeBudget(50*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
 	start := time.Now()
-	a.Mine()
+	analyze(t, tab, metainsight.Request{Budget: metainsight.Budget{Time: 50 * time.Millisecond}})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("time budget ignored: ran %v", elapsed)
 	}
@@ -168,29 +167,27 @@ func TestWithTauChangesAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := metainsight.NewAnalyzer(tab, metainsight.WithTau(0.7), metainsight.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loose, err := metainsight.NewAnalyzer(tab, metainsight.WithTau(0.3), metainsight.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns, nl := len(strict.Mine().MetaInsights), len(loose.Mine().MetaInsights)
+	strict := analyze(t, tab, metainsight.Request{Tau: 0.7}, metainsight.WithWorkers(1)).Result
+	loose := analyze(t, tab, metainsight.Request{Tau: 0.3}, metainsight.WithWorkers(1)).Result
+	ns, nl := len(strict.MetaInsights), len(loose.MetaInsights)
 	if ns > nl {
 		t.Errorf("τ=0.7 found %d, τ=0.3 found %d — higher τ must be a subset", ns, nl)
 	}
 }
 
-func TestNewAnalyzerRejectsBadConfig(t *testing.T) {
+func TestAnalyzeRejectsBadMeasures(t *testing.T) {
 	header, records := houseRecords()
 	tab, _ := metainsight.FromRecords("houses", header, records)
-	if _, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithImpactMeasure(metainsight.Avg("Sales"))); err == nil {
+	s, err := metainsight.NewSession(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Analyze(context.Background(), metainsight.Request{
+		ImpactMeasure: metainsight.Avg("Sales")}); err == nil {
 		t.Error("non-additive impact measure accepted")
 	}
-	if _, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Nope"))); err == nil {
+	if _, err := s.Analyze(context.Background(), metainsight.Request{
+		Measures: []metainsight.Measure{metainsight.Sum("Nope")}}); err == nil {
 		t.Error("unknown measure accepted")
 	}
 }
@@ -198,11 +195,7 @@ func TestNewAnalyzerRejectsBadConfig(t *testing.T) {
 func TestDescribeHelpers(t *testing.T) {
 	header, records := houseRecords()
 	tab, _ := metainsight.FromRecords("houses", header, records)
-	a, err := metainsight.NewAnalyzer(tab, metainsight.WithMeasures(metainsight.Sum("Sales")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := a.Mine()
+	res := analyze(t, tab, metainsight.Request{Measures: sales}).Result
 	if len(res.MetaInsights) == 0 {
 		t.Fatal("no results")
 	}
@@ -268,17 +261,15 @@ func TestCustomPatternTypeEndToEnd(t *testing.T) {
 			}
 		},
 	}
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Revenue")),
+	an := analyze(t, tab, metainsight.Request{
+		TopK:     20,
+		Measures: []metainsight.Measure{metainsight.Sum("Revenue")},
+	},
 		metainsight.WithCustomPatternTypes(quarterEnd),
 		metainsight.WithWorkers(1),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	result := a.Mine()
 	var found *metainsight.Insight
-	for _, in := range a.Rank(result, 20) {
+	for _, in := range an.Insights {
 		if strings.Contains(in.Description(), "Quarter-End Spike") {
 			found = in
 			break
@@ -299,11 +290,7 @@ func TestCustomPatternTypeEndToEnd(t *testing.T) {
 func TestInsightMarshalJSON(t *testing.T) {
 	header, records := houseRecords()
 	tab, _ := metainsight.FromRecords("houses", header, records)
-	insights, err := metainsight.Analyze(tab, 3,
-		metainsight.WithMeasures(metainsight.Sum("Sales")))
-	if err != nil {
-		t.Fatal(err)
-	}
+	insights := analyze(t, tab, metainsight.Request{TopK: 3, Measures: sales}).Insights
 	if len(insights) == 0 {
 		t.Fatal("no insights")
 	}
@@ -330,18 +317,14 @@ func TestWithProgressStreamsDiscoveries(t *testing.T) {
 	tab, _ := metainsight.FromRecords("houses", header, records)
 	var mu sync.Mutex
 	var streamed []string
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales")),
-		metainsight.WithProgress(func(mi *metainsight.MetaInsight) {
+	result := analyze(t, tab, metainsight.Request{
+		Measures: sales,
+		Progress: func(mi *metainsight.MetaInsight) {
 			mu.Lock()
 			streamed = append(streamed, mi.Key())
 			mu.Unlock()
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	result := a.Mine()
+		},
+	}).Result
 	mu.Lock()
 	defer mu.Unlock()
 	if len(streamed) != len(result.MetaInsights) {
@@ -362,15 +345,8 @@ func TestProgressiveRankerDuringMining(t *testing.T) {
 	header, records := houseRecords()
 	tab, _ := metainsight.FromRecords("houses", header, records)
 	prog := metainsight.NewProgressiveRanker(3)
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales")),
-		metainsight.WithProgress(prog.Add),
-		metainsight.WithWorkers(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	result := a.Mine()
+	result := analyze(t, tab, metainsight.Request{Measures: sales, Progress: prog.Add},
+		metainsight.WithWorkers(1)).Result
 	if prog.Added() != len(result.MetaInsights) {
 		t.Fatalf("progressive saw %d of %d discoveries", prog.Added(), len(result.MetaInsights))
 	}
@@ -414,14 +390,7 @@ func TestBreakdownExtensionAcrossDerivedGranularities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales")),
-		metainsight.WithWorkers(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	result := a.Mine()
+	result := analyze(t, tab, metainsight.Request{Measures: sales}, metainsight.WithWorkers(1)).Result
 	found := false
 	for _, mi := range result.MetaInsights {
 		if mi.HDP.HDS.Kind != model.ExtendBreakdown {
@@ -444,15 +413,9 @@ func TestBreakdownExtensionAcrossDerivedGranularities(t *testing.T) {
 func TestWriteReportEndToEnd(t *testing.T) {
 	header, records := houseRecords()
 	tab, _ := metainsight.FromRecords("houses", header, records)
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales")),
-		metainsight.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := a.Rank(a.Mine(), 3)
+	an := analyze(t, tab, metainsight.Request{TopK: 3, Measures: sales}, metainsight.WithWorkers(1))
 	var buf strings.Builder
-	if err := a.WriteReport(&buf, top, "Houses"); err != nil {
+	if err := an.WriteReport(&buf, "Houses"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -495,17 +458,16 @@ func TestCorrelationPatternsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales"), metainsight.Sum("Profit")),
+	an := analyze(t, tab, metainsight.Request{
+		TopK:     25,
+		Measures: []metainsight.Measure{metainsight.Sum("Sales"), metainsight.Sum("Profit")},
+	},
 		metainsight.WithCorrelationPatterns([2]metainsight.Measure{
 			metainsight.Sum("Sales"), metainsight.Sum("Profit"),
 		}),
 		metainsight.WithWorkers(1),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	result := a.Mine()
+	result := an.Result
 	corrType := metainsight.CustomPatternType(0)
 	var found *metainsight.MetaInsight
 	for _, mi := range result.MetaInsights {
@@ -543,7 +505,7 @@ func TestCorrelationPatternsEndToEnd(t *testing.T) {
 	}
 	// Through the ranked Insight view the custom type renders by name.
 	named := false
-	for _, in := range a.Rank(result, 25) {
+	for _, in := range an.Insights {
 		if strings.Contains(in.Description(), "Correlation(SUM(Sales), SUM(Profit))") {
 			named = true
 			break

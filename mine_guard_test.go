@@ -13,6 +13,7 @@
 package metainsight_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
@@ -36,15 +37,15 @@ func timeMine(t *testing.T, par int) time.Duration {
 	t.Helper()
 	tab := workload.CreditCard()
 	run := func() {
-		a, err := metainsight.NewAnalyzer(tab,
-			metainsight.WithCostBudget(400),
-			metainsight.WithScanParallelism(par))
+		s, err := metainsight.NewSession(tab, metainsight.WithScanParallelism(par))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := a.Mine()
-		if res.Err != nil {
-			t.Fatal(res.Err)
+		// TopK 0: mine only, as the guard's blessed ratio was measured.
+		if _, err := s.Analyze(context.Background(), metainsight.Request{
+			Budget: metainsight.Budget{Cost: 400},
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	run() // untimed warm-up: dictionary, posting-list and zone-map builds

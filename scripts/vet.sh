@@ -1,20 +1,8 @@
 #!/bin/sh
-# Static checks for the repo's own binaries and examples.
-#
-# Always runs go vet over the whole module. When staticcheck is installed
-# (https://staticcheck.dev), additionally runs its deprecation analysis
-# (SA1019) over cmd/ and examples/, which must not call the deprecated
-# Analyzer-era API; internal/apicheck enforces the same rule without any
-# third-party tool, so CI stays green on a bare toolchain.
+# Static checks for the whole module: go vet ./... (CI additionally runs
+# staticcheck ./...).
 set -eu
 cd "$(dirname "$0")/.."
 
 echo "go vet ./..."
 go vet ./...
-
-if command -v staticcheck >/dev/null 2>&1; then
-	echo "staticcheck -checks SA1019 ./cmd/... ./examples/..."
-	staticcheck -checks SA1019 ./cmd/... ./examples/...
-else
-	echo "staticcheck not installed; skipping (internal/apicheck still enforces the deprecation rule)"
-fi

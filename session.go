@@ -1,24 +1,20 @@
 package metainsight
 
-// The Session API is the package's primary analysis surface: a Session
-// loads and indexes a dataset once and then serves many Analyze calls, each
+// The Session API is the package's analysis surface: a Session loads and
+// indexes a dataset once and then serves many Analyze calls, each
 // parameterized by a Request. Construction-time settings (execution layout,
-// resilience, durability, custom patterns, ranking weights) are grouped
-// into typed configs attached via SessionOption; per-call knobs (measures,
-// budgets, τ, top-k) travel in the Request.
+// resilience, durability, custom patterns) are Options to NewSession;
+// per-call knobs (measures, budgets, τ, top-k) travel in the Request. Every
+// setting has exactly one spelling.
 //
 // Every Analyze call is hermetic: it runs with fresh query/pattern caches and a
 // fresh meter, so its result — insights, statistics and trace — is
-// bit-identical to a fresh Analyzer run with the same settings, regardless of
-// what the session served before. What the session shares across calls is the
+// bit-identical to the same call on a fresh session, regardless of what the
+// session served before. What the session shares across calls is the
 // expensive read-only state: the dataset's dictionaries, posting lists and zone
 // maps (cached on the dataset itself), and the physical scan substrates (plan
 // caches, accumulator pools), reused from a registry keyed by their full
 // configuration.
-//
-// The pre-Session construction surface (NewAnalyzer, Analyze and the flat
-// With* options) remains supported as thin deprecated shims over this API;
-// see the migration table in README.md.
 
 import (
 	"context"
@@ -30,78 +26,72 @@ import (
 	"time"
 
 	"metainsight/internal/cache"
+	"metainsight/internal/core"
 	"metainsight/internal/engine"
 	"metainsight/internal/faults"
 	"metainsight/internal/miner"
-	"metainsight/internal/model"
+	"metainsight/internal/obs"
 	"metainsight/internal/pattern"
 	"metainsight/internal/ranker"
+	"metainsight/internal/render"
 )
-
-// SessionOption configures a Session at construction. It is the same type
-// as the legacy Option, so every existing With* option can be passed to
-// NewSession unchanged; prefer the grouped WithExec / WithResilience /
-// WithDurability configs for new code.
-type SessionOption = Option
-
-// ExecConfig groups the execution-layout settings: inter-query parallelism
-// (Workers) and intra-scan parallelism (ScanParallelism). Zero-valued fields
-// leave the corresponding setting at its prior or default value, so
-// partially-filled configs compose with other options.
-type ExecConfig struct {
-	// Workers is the number of evaluation goroutines (default 8). Results
-	// are bit-identical for any value.
-	Workers int
-	// ScanParallelism is how many goroutines one physical scan may use
-	// (default 1). Bit-identical for any value; see WithScanParallelism.
-	ScanParallelism int
-}
 
 // ResilienceConfig groups the fault-handling settings: deterministic fault
 // injection, retry/backoff/breaker behavior and the degraded-result
 // threshold. Zero-valued fields leave the corresponding setting unchanged.
 type ResilienceConfig struct {
-	// Faults enables deterministic fault injection on every scan path; a
-	// zero policy injects nothing. See WithFaultPolicy.
+	// Faults enables deterministic fault injection on every scan path:
+	// seeded transient/permanent failures and simulated latency, keyed by
+	// each query's canonical fingerprint (never wall-clock or shared RNG),
+	// so a faulty run is exactly as reproducible — including across worker
+	// counts — as a clean one. A zero policy injects nothing.
 	Faults FaultPolicy
-	// Retry configures retries, backoff, per-query deadlines and the
-	// circuit breaker; a zero value leaves the retry policy unset (or, if
-	// Faults is enabled, the defaults apply). See WithRetryPolicy.
+	// Retry configures retries with capped exponential backoff and
+	// deterministic jitter, per-query cost deadlines, and the
+	// consecutive-failure circuit breaker. Zero-value fields of a non-zero
+	// policy take the defaults (RetryPolicy.WithDefaults); a zero value
+	// leaves the retry policy unset (or, if Faults is enabled, the defaults
+	// apply). Only meaningful together with Faults or a failure-capable
+	// WithSubstrate.
 	Retry RetryPolicy
 	// DegradedThreshold is the query failure rate above which a run is
-	// flagged degraded (Result.Err wraps ErrDegraded). 0 keeps the default
-	// (0.1); negative flags any failure; >= 1 never flags.
+	// flagged degraded (MiningResult.Err wraps ErrDegraded). 0 keeps the
+	// default (0.1); negative flags any failure; >= 1 never flags.
 	DegradedThreshold float64
 }
 
 // DurabilityConfig groups crash-safety: checkpoint journaling and resume.
+//
+// A checkpointed run journals every committed unit to CheckpointDir (an
+// append-only, CRC-framed log of the canonical commit stream) and writes an
+// atomic snapshot of its full state every Every commits plus once at loop
+// exit. Checkpointing requires the deterministic budget kinds — cost budget
+// or unbounded — to guarantee a resumed run is bit-identical to an
+// uninterrupted one; a time budget re-anchors at resume.
 type DurabilityConfig struct {
 	// CheckpointDir is the checkpoint directory. Empty disables
-	// checkpointing.
+	// checkpointing. A fresh run requires a directory that does not already
+	// hold a checkpoint (ErrCheckpointExists otherwise).
 	CheckpointDir string
 	// Every is the snapshot cadence in unit commits (<= 0 defaults to 256).
 	Every int64
-	// Resume restores the run from CheckpointDir instead of starting fresh.
+	// Resume restores a crashed or cancelled run from CheckpointDir instead
+	// of starting fresh: the latest valid snapshot is restored, the journal
+	// tail (tolerating a torn final record) is replayed by deterministic
+	// re-execution — which also re-primes the caches — and mining re-enters
+	// its loop on the pending work. The resumed run's results, statistics
+	// and trace continue exactly where the interrupted run stopped, at any
+	// worker count. Checkpointing continues into the same directory.
+	// Combining a resuming and a fresh WithDurability is allowed only when
+	// both name the same directory (ErrConflictingCheckpoints otherwise), in
+	// which case the fresh config's Every applies to the resumed run.
 	Resume bool
-}
-
-// WithExec applies an execution-layout config. Zero-valued fields leave
-// prior settings untouched.
-func WithExec(c ExecConfig) Option {
-	return func(o *analyzerOptions) {
-		if c.Workers != 0 {
-			o.minerCfg.Workers = c.Workers
-		}
-		if c.ScanParallelism != 0 {
-			o.scanPar = c.ScanParallelism
-		}
-	}
 }
 
 // WithResilience applies a resilience config. Zero-valued fields leave
 // prior settings untouched.
 func WithResilience(c ResilienceConfig) Option {
-	return func(o *analyzerOptions) {
+	return func(o *sessionConfig) {
 		if c.Faults.Enabled() {
 			o.faultPolicy = c.Faults
 		}
@@ -115,10 +105,10 @@ func WithResilience(c ResilienceConfig) Option {
 	}
 }
 
-// WithDurability applies a durability config; equivalent to WithCheckpoint
-// or ResumeFromCheckpoint depending on Resume.
+// WithDurability applies a durability config. Zero-valued fields leave
+// prior settings untouched.
 func WithDurability(c DurabilityConfig) Option {
-	return func(o *analyzerOptions) {
+	return func(o *sessionConfig) {
 		if c.CheckpointDir == "" {
 			return
 		}
@@ -137,21 +127,23 @@ func WithDurability(c DurabilityConfig) Option {
 // budgets are deterministic and exactly reproducible, time budgets are not,
 // so the library refuses to combine them (ErrConflictingBudgets).
 type Budget struct {
-	// Time bounds mining by wall clock; mining is progressive and returns
-	// the best-so-far insights at the deadline.
+	// Time bounds mining by wall clock, anchored when mining starts; mining
+	// is progressive and returns the best-so-far insights at the deadline.
 	Time time.Duration
-	// Cost bounds mining by deterministic engine cost units.
+	// Cost bounds mining by deterministic engine cost units (one unit
+	// approximates a millisecond of an IPC-backed query substrate). Runs
+	// with a cost budget are exactly reproducible.
 	Cost float64
 }
 
 // Request parameterizes one Session.Analyze call. Zero-valued fields take
-// the session's settings (or the library defaults).
+// the library defaults.
 type Request struct {
 	// Measures is the mined measure set M (default: SUM over every measure
 	// column plus COUNT(*)).
 	Measures []Measure
 	// ImpactMeasure sets the impact measure (must be SUM or COUNT; default
-	// COUNT(*)).
+	// COUNT(*), as in the paper's evaluation).
 	ImpactMeasure Measure
 	// TopK is how many ranked insights to return (the paper's suggestion
 	// count). Values <= 0 return no ranked insights; the Analysis still
@@ -161,66 +153,45 @@ type Request struct {
 	MaxFilters int
 	// Budget bounds the call by wall clock or by deterministic cost units.
 	Budget Budget
-	// Tau overrides the commonness threshold τ (default 0.5).
+	// Tau sets the commonness threshold τ (default 0.5). Only τ is touched:
+	// the other score parameters keep their defaults.
 	Tau float64
-	// TopKPruning enables S*-bounded early termination with the given k;
-	// see WithTopKPruning. Must be > 0 when set.
+	// TopKPruning, when positive, enables S*-bounded early termination:
+	// once TopKPruning MetaInsights are committed, candidates whose score
+	// upper bound (Lemma 4.1's S* combined with the impact term of Equation
+	// 18) cannot strictly beat the k-th best committed score are cut before
+	// evaluation, so their sibling scans never run. Every MetaInsight whose
+	// score strictly exceeds the run's final k-th best score is still mined,
+	// so the score-ordered top k is preserved; mine with headroom (e.g. 2–4×
+	// TopK) when ranking with diversity weights, which may promote
+	// lower-scoring insights. Zero (the default) disables termination and
+	// mines the complete candidate set; negative values are rejected
+	// (ErrInvalidTopKPruning).
 	TopKPruning int
-	// Progress, when set, is invoked for each newly stored MetaInsight in
-	// deterministic discovery order.
+	// Progress, when set, is invoked whenever the miner stores a new
+	// MetaInsight, enabling progressive display during a budgeted run. The
+	// callback is invoked serially from the miner's dispatcher goroutine, in
+	// deterministic discovery order; it should be fast (it runs on the
+	// mining path, pausing unit commits while it executes).
 	Progress func(*MetaInsight)
 	// Observer, when set, receives this call's metrics and trace,
 	// overriding the session observer for the call.
 	Observer *Observer
 }
 
-// options lowers the request to the legacy option list, applied after the
-// session's options so per-call settings win.
-func (r Request) options() []Option {
-	var opts []Option
-	if r.Measures != nil {
-		opts = append(opts, WithMeasures(r.Measures...))
-	}
-	if r.ImpactMeasure != (Measure{}) {
-		opts = append(opts, WithImpactMeasure(r.ImpactMeasure))
-	}
-	if r.MaxFilters > 0 {
-		opts = append(opts, WithMaxSubspaceFilters(r.MaxFilters))
-	}
-	if r.Budget.Time > 0 {
-		opts = append(opts, WithTimeBudget(r.Budget.Time))
-	}
-	if r.Budget.Cost > 0 {
-		opts = append(opts, WithCostBudget(r.Budget.Cost))
-	}
-	if r.Tau != 0 {
-		opts = append(opts, WithTau(r.Tau))
-	}
-	if r.TopKPruning != 0 {
-		opts = append(opts, WithTopKPruning(r.TopKPruning))
-	}
-	if r.Progress != nil {
-		opts = append(opts, WithProgress(r.Progress))
-	}
-	if r.Observer != nil {
-		opts = append(opts, WithObserver(r.Observer))
-	}
-	return opts
-}
-
-// Construction-time validation errors. Conflicting or malformed options are
-// rejected by NewSession / NewAnalyzer with one of these (test with
-// errors.Is) instead of surfacing as surprising behavior mid-run.
+// Validation errors. Conflicting or malformed settings are rejected by
+// NewSession or Session.Analyze with one of these (test with errors.Is)
+// instead of surfacing as surprising behavior mid-run.
 var (
-	// ErrConflictingCheckpoints: ResumeFromCheckpoint and WithCheckpoint
-	// (or DurabilityConfig equivalents) name different directories. Naming
-	// the same directory is fine — it resumes and keeps checkpointing there.
+	// ErrConflictingCheckpoints: a resuming and a fresh WithDurability name
+	// different directories. Naming the same directory is fine — it resumes
+	// and keeps checkpointing there.
 	ErrConflictingCheckpoints = errors.New(
-		"metainsight: ResumeFromCheckpoint and WithCheckpoint name different directories; use one directory")
-	// ErrInvalidTopKPruning: WithTopKPruning (or Request.TopKPruning)
-	// requires k > 0; omit the option to disable early termination.
+		"metainsight: resume and checkpoint name different directories; use one directory")
+	// ErrInvalidTopKPruning: Request.TopKPruning was negative; use 0 to
+	// disable early termination.
 	ErrInvalidTopKPruning = errors.New(
-		"metainsight: WithTopKPruning requires k > 0; omit the option to disable early termination")
+		"metainsight: Request.TopKPruning must not be negative; use 0 to disable early termination")
 	// ErrNegativeOption: a count or size option (workers, scan parallelism,
 	// cache bytes) was negative.
 	ErrNegativeOption = errors.New("metainsight: option value must be non-negative")
@@ -229,26 +200,14 @@ var (
 )
 
 // resolveOptions applies the option list over the defaults and validates
-// the combination; every construction path (NewSession, Session.Analyze,
-// NewAnalyzer) funnels through it, so conflicts surface identically
-// everywhere.
-func resolveOptions(opts []Option) (*analyzerOptions, error) {
-	o := &analyzerOptions{
-		minerCfg: miner.DefaultConfig(),
-		weights:  ranker.DefaultWeights(),
-	}
-	o.minerCfg.UsePriorityQueues = true
+// the combination.
+func resolveOptions(opts []Option) (*sessionConfig, error) {
+	o := &sessionConfig{minerCfg: miner.DefaultConfig()}
 	for _, opt := range opts {
 		opt(o)
 	}
-	if o.timeBudget > 0 && o.costBudget > 0 {
-		return nil, ErrConflictingBudgets
-	}
 	if err := o.faultPolicy.Validate(); err != nil {
 		return nil, err
-	}
-	if o.topKSet && o.minerCfg.TopK <= 0 {
-		return nil, ErrInvalidTopKPruning
 	}
 	if o.minerCfg.Workers < 0 {
 		return nil, fmt.Errorf("%w: workers %d", ErrNegativeOption, o.minerCfg.Workers)
@@ -273,14 +232,41 @@ func resolveOptions(opts []Option) (*analyzerOptions, error) {
 	return o, nil
 }
 
+// apply writes a Request's per-call fields into the configuration and
+// validates them.
+func (o *sessionConfig) apply(r Request) error {
+	if r.Budget.Time > 0 && r.Budget.Cost > 0 {
+		return ErrConflictingBudgets
+	}
+	if r.TopKPruning < 0 {
+		return ErrInvalidTopKPruning
+	}
+	o.measures = r.Measures
+	o.impact = r.ImpactMeasure
+	if r.MaxFilters > 0 {
+		o.minerCfg.MaxSubspaceFilters = r.MaxFilters
+	}
+	o.timeBudget = r.Budget.Time
+	o.costBudget = r.Budget.Cost
+	if r.Tau != 0 {
+		o.minerCfg.Score.Tau = r.Tau
+	}
+	o.minerCfg.TopK = r.TopKPruning
+	o.minerCfg.OnMetaInsight = r.Progress
+	if r.Observer != nil {
+		o.observer = r.Observer
+	}
+	return nil
+}
+
 // Session is a long-lived analysis handle over one dataset: NewSession
 // loads and validates once, Analyze serves many requests. Sessions are safe
 // for concurrent Analyze calls; each call is hermetic (fresh caches and
 // meter), sharing only the dataset's read-only index structures and the
 // substrate registry.
 type Session struct {
-	d    *Dataset
-	opts []Option
+	d   *Dataset
+	cfg sessionConfig
 
 	mu       sync.Mutex
 	closed   bool
@@ -312,13 +298,13 @@ const DefaultSubstrateCacheLimit = 16
 // changes results — an evicted substrate is rebuilt on next use — it only
 // re-pays plan-cache warmup.
 func WithSubstrateCacheLimit(n int) Option {
-	return func(o *analyzerOptions) { o.subLimit = n }
+	return func(o *sessionConfig) { o.subLimit = n }
 }
 
 // NewSession creates a session over a dataset. Construction validates the
-// option combination eagerly (see the Err* construction errors), so a
+// option combination eagerly (see the Err* validation errors), so a
 // misconfigured session fails here rather than on first Analyze.
-func NewSession(d *Dataset, opts ...SessionOption) (*Session, error) {
+func NewSession(d *Dataset, opts ...Option) (*Session, error) {
 	if d == nil {
 		return nil, errors.New("metainsight: nil dataset")
 	}
@@ -332,7 +318,7 @@ func NewSession(d *Dataset, opts ...SessionOption) (*Session, error) {
 	}
 	return &Session{
 		d:        d,
-		opts:     append([]Option(nil), opts...),
+		cfg:      *o,
 		subs:     make(map[string]*substrateEntry),
 		subLimit: limit,
 	}, nil
@@ -372,143 +358,119 @@ type Analysis struct {
 	// Result holds every mined MetaInsight candidate plus run statistics.
 	Result *MiningResult
 
-	a *Analyzer
+	eng   *engine.Engine
+	meter *engine.Meter
+	pc    *cache.PatternCache[*pattern.ScopeEvaluation]
+	obs   *obs.Observer
+	namer render.TypeNamer
 }
 
-// Snapshot returns a point-in-time copy of the call's observer metrics; see
-// Analyzer.Snapshot.
-func (an *Analysis) Snapshot() MetricsSnapshot { return an.a.Snapshot() }
+// Snapshot publishes the call's engine meter and cache statistics as gauges
+// into its observer, then returns a point-in-time copy of all metrics, phase
+// timers and trace totals. Without an observer it returns an empty
+// snapshot. Reading a snapshot never perturbs the analysis.
+func (an *Analysis) Snapshot() MetricsSnapshot {
+	ob := an.obs
+	if !ob.Enabled() {
+		return MetricsSnapshot{}
+	}
+	ob.SetGauge("engine.cost_units", an.meter.Cost())
+	ob.SetGauge("engine.queries.executed", float64(an.meter.ExecutedQueries()))
+	ob.SetGauge("engine.queries.served", float64(an.meter.ServedQueries()))
+	ob.SetGauge("engine.queries.augmented", float64(an.meter.AugmentedQueries()))
+	qs := an.eng.QueryCache().Stats()
+	ob.SetGauge("cache.query.hits", float64(qs.Hits))
+	ob.SetGauge("cache.query.misses", float64(qs.Misses))
+	ob.SetGauge("cache.query.entries", float64(qs.Entries))
+	ob.SetGauge("cache.query.bytes", float64(qs.Bytes))
+	for i, ss := range an.eng.QueryCache().ShardStats() {
+		ob.SetGauge(fmt.Sprintf("cache.query.shard.%02d.entries", i), float64(ss.Entries))
+	}
+	ps := an.pc.Stats()
+	ob.SetGauge("cache.pattern.hits", float64(ps.Hits))
+	ob.SetGauge("cache.pattern.misses", float64(ps.Misses))
+	ob.SetGauge("cache.pattern.entries", float64(ps.Entries))
+	for i, ss := range an.pc.ShardStats() {
+		ob.SetGauge(fmt.Sprintf("cache.pattern.shard.%02d.entries", i), float64(ss.Entries))
+	}
+	return ob.Snapshot()
+}
 
 // WriteReport renders the analysis' ranked insights as a markdown EDA
-// report.
+// report: one section per insight with its narrative, score breakdown,
+// commonness membership, categorized exceptions, sparklines of the raw
+// distributions and a flat-list appendix.
 func (an *Analysis) WriteReport(w io.Writer, title string) error {
-	return an.a.WriteReport(w, an.Insights, title)
+	mis := make([]*core.MetaInsight, len(an.Insights))
+	for i, in := range an.Insights {
+		mis[i] = in.mi
+	}
+	return render.MarkdownReport(w, mis, render.ReportOptions{
+		Title:      title,
+		FlatList:   true,
+		Sparklines: true,
+		Engine:     an.eng,
+		Namer:      an.namer,
+	})
 }
 
 // Engine exposes the call's query engine for ad-hoc follow-up queries — the
 // "exception as a new entry point" loop of exploratory analysis.
-func (an *Analysis) Engine() *engine.Engine { return an.a.Engine() }
+func (an *Analysis) Engine() *engine.Engine { return an.eng }
 
-// Analyze mines and ranks one request. The error mirrors the legacy
-// Analyze contract: it may wrap ErrDegraded (best-effort result under
+// rank selects the top-k MetaInsights with high usefulness and low
+// inter-MetaInsight redundancy (the paper's greedy second-order algorithm).
+func (an *Analysis) rank(k int) []*Insight {
+	t0 := time.Now()
+	top, sel := ranker.GreedyStats(an.Result.MetaInsights, k, ranker.DefaultWeights())
+	if an.obs.Enabled() {
+		an.obs.Phase(obs.PhaseRank, time.Since(t0))
+		an.obs.SetGauge("ranker.pool", float64(sel.Pool))
+		an.obs.SetGauge("ranker.selected", float64(sel.Selected))
+		an.obs.SetGauge("ranker.overlap_evals", float64(sel.OverlapEvals))
+	}
+	out := make([]*Insight, len(top))
+	for i, mi := range top {
+		out[i] = &Insight{mi: mi, namer: an.namer}
+	}
+	return out
+}
+
+// Analyze mines and ranks one request. Mining checks ctx at every
+// unit-commit boundary, so a cancelled call stops on a whole-unit boundary,
+// sets Stats.Cancelled and still ranks whatever was mined; a run is never
+// torn mid-commit. The error may wrap ErrDegraded (best-effort result under
 // faults) or a checkpoint sentinel, and the returned Analysis is still
 // valid best-effort output whenever it is non-nil.
 func (s *Session) Analyze(ctx context.Context, req Request) (*Analysis, error) {
-	a, err := s.analyzer(req)
-	if err != nil {
-		return nil, err
-	}
-	res := a.MineContext(ctx)
-	return &Analysis{Insights: a.Rank(res, req.TopK), Result: res, a: a}, res.Err
-}
-
-// analyzer builds the per-request execution state: session options plus the
-// request's overrides, resolved and validated, over substrates reused from
-// the session registry.
-func (s *Session) analyzer(req Request) (*Analyzer, error) {
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
 		return nil, ErrSessionClosed
 	}
-	all := append(append([]Option(nil), s.opts...), req.options()...)
-	o, err := resolveOptions(all)
+	o := s.cfg
+	if err := o.apply(req); err != nil {
+		return nil, err
+	}
+	an, cfg, err := s.prepare(&o)
 	if err != nil {
 		return nil, err
 	}
-	return buildAnalyzer(s.d, o, s)
+	an.Result = miner.New(an.eng, cfg).RunContext(ctx)
+	an.Insights = an.rank(req.TopK)
+	return an, an.Result.Err
 }
 
-// needMinMax replicates engine.New's needed-aggregate derivation: MIN/MAX
-// accumulators are materialized only for columns some measure in Measures ∪
-// ExtraMeasures ∪ {ImpactMeasure} aggregates that way. The session builds
-// substrates itself (to share them across requests), which bypasses the
-// engine's derivation, so it must agree with it exactly.
-func needMinMax(d *Dataset, o *analyzerOptions, extra []Measure) map[string]bool {
-	measures := o.measures
-	if measures == nil {
-		measures = d.DefaultMeasures()
-	}
-	impact := o.impact
-	if impact == (Measure{}) {
-		impact = model.Count("*")
-	}
-	need := make(map[string]bool)
-	for _, ms := range [][]Measure{measures, extra, {impact}} {
-		for _, m := range ms {
-			if m.Agg == model.AggMin || m.Agg == model.AggMax {
-				need[m.Column] = true
-			}
-		}
-	}
-	return need
-}
-
-// substrateFor returns the physical scan substrate for one resolved
-// configuration, reusing a previously built one from the session registry when
-// every substrate-affecting setting matches. Substrates are safe to share:
-// scans are read-only over the dataset, plan caches and accumulator pools are
-// internally synchronized, and reuse never changes results — it only skips
-// re-planning. A nil receiver (the NewAnalyzer shim path on a fresh throwaway
-// session, or direct builds) builds without caching.
-func (s *Session) substrateFor(d *Dataset, o *analyzerOptions, need map[string]bool) (Substrate, error) {
-	build := func() Substrate {
-		return engine.NewColumnarSubstrate(d,
-			engine.WithMinMaxColumns(need),
-			engine.WithScanParallelism(o.scanPar),
-			engine.WithScanObserver(o.observer))
-	}
-	if s == nil {
-		return build(), nil
-	}
-	cols := make([]string, 0, len(need))
-	for c := range need {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	// The key covers every input that shapes the substrate, including the
-	// observer identity (substrates bake their observer in).
-	key := fmt.Sprintf("par=%d mm=%v obs=%p", o.scanPar, cols, o.observer)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrSessionClosed
-	}
-	s.useSeq++
-	if e, ok := s.subs[key]; ok {
-		e.lastUse = s.useSeq
-		return e.sub, nil
-	}
-	sub := build()
-	s.subs[key] = &substrateEntry{sub: sub, lastUse: s.useSeq, ctor: s.useSeq}
-	// Bounded registry: evict least-recently-used entries (ties broken by
-	// construction order) until the limit holds. Eviction only drops the
-	// cached reference; an in-flight Analyze keeps its substrate alive.
-	for s.subLimit > 0 && len(s.subs) > s.subLimit {
-		var victim string
-		var ve *substrateEntry
-		for k, e := range s.subs {
-			if ve == nil || e.lastUse < ve.lastUse ||
-				(e.lastUse == ve.lastUse && e.ctor < ve.ctor) {
-				victim, ve = k, e
-			}
-		}
-		delete(s.subs, victim)
-	}
-	return sub, nil
-}
-
-// buildAnalyzer assembles the execution state (engine, miner config,
-// ranking weights) from a resolved option set. It is the single
-// construction path behind both Session.Analyze and the deprecated
-// NewAnalyzer shim, which is what makes the two surfaces bit-identical.
-func buildAnalyzer(d *Dataset, o *analyzerOptions, sess *Session) (*Analyzer, error) {
+// prepare builds one call's execution state — engine, meter, caches and
+// miner config — from its resolved configuration, over a substrate reused
+// from the session registry.
+func (s *Session) prepare(o *sessionConfig) (*Analysis, miner.Config, error) {
 	var retry faults.RetryPolicy
 	if o.retrySet {
 		retry = o.retryPolicy
 		if retry == (faults.RetryPolicy{}) {
-			// All-zero from an explicit WithRetryPolicy still means "use the
+			// All-zero from an explicit retry policy still means "use the
 			// defaults", which NewInjector would otherwise read as absent.
 			retry = retry.WithDefaults()
 		}
@@ -529,41 +491,34 @@ func buildAnalyzer(d *Dataset, o *analyzerOptions, sess *Session) (*Analyzer, er
 			Requires: []Measure{pair[0], pair[1]},
 		})
 	}
-	sub := o.substrate
-	if sub == nil {
-		var err error
-		sub, err = sess.substrateFor(d, o, needMinMax(d, o, reqCfg.RequiredMeasures()))
-		if err != nil {
-			return nil, err
-		}
+	ecfg := engine.Config{
+		Measures:      o.measures,
+		ImpactMeasure: o.impact,
+		ExtraMeasures: reqCfg.RequiredMeasures(),
+		QueryCache:    qc,
+		Meter:         meter,
+		Observer:      o.observer,
+		Substrate:     o.substrate,
+		Faults:        faults.NewInjector(o.faultPolicy, retry),
 	}
-	eng, err := engine.New(d, engine.Config{
-		Measures:        o.measures,
-		ImpactMeasure:   o.impact,
-		ExtraMeasures:   reqCfg.RequiredMeasures(),
-		ScanParallelism: o.scanPar,
-		QueryCache:      qc,
-		Meter:           meter,
-		Observer:        o.observer,
-		Substrate:       sub,
-		Faults:          faults.NewInjector(o.faultPolicy, retry),
-	})
+	if ecfg.Substrate == nil {
+		sub, err := s.substrateFor(o, engine.MinMaxColumns(s.d, ecfg))
+		if err != nil {
+			return nil, miner.Config{}, err
+		}
+		ecfg.Substrate = sub
+	}
+	eng, err := engine.New(s.d, ecfg)
 	if err != nil {
-		return nil, err
+		return nil, miner.Config{}, err
 	}
 	cfg := o.minerCfg
 	if len(o.customPatterns) > 0 || len(o.correlations) > 0 {
-		if cfg.Pattern.Alpha == 0 {
-			cfg.Pattern = pattern.DefaultConfig()
-		}
 		cfg.Pattern.Custom = append(cfg.Pattern.Custom, o.customPatterns...)
 		for _, pair := range o.correlations {
 			cfg.Pattern.Custom = append(cfg.Pattern.Custom, correlationEvaluator(eng, pair[0], pair[1]))
 		}
 	}
-	// The pattern cache is created here (not lazily per Mine call) so it
-	// persists across Mine calls like the query cache, and so Snapshot can
-	// report its stats.
 	cfg.PatternCache = cache.NewPatternCache[*pattern.ScopeEvaluation](!o.disablePC)
 	if o.pcBytes > 0 {
 		cfg.PatternCache.SetMaxBytes(o.pcBytes, func(key string, se *pattern.ScopeEvaluation) int64 {
@@ -572,11 +527,63 @@ func buildAnalyzer(d *Dataset, o *analyzerOptions, sess *Session) (*Analyzer, er
 	}
 	cfg.Observer = o.observer
 	cfg.Checkpoint = o.checkpoint
-	if o.costBudget > 0 {
+	switch {
+	case o.costBudget > 0:
 		cfg.Budget = engine.CostBudget{Meter: meter, Limit: o.costBudget}
+	case o.timeBudget > 0:
+		// Anchored here, as mining starts.
+		cfg.Budget = engine.NewTimeBudget(o.timeBudget)
 	}
-	return &Analyzer{
-		eng: eng, meter: meter, cfg: cfg, wts: o.weights,
-		obs: o.observer, timeBudget: o.timeBudget,
-	}, nil
+	an := &Analysis{
+		eng: eng, meter: meter, pc: cfg.PatternCache,
+		obs: o.observer, namer: cfg.Pattern.TypeName,
+	}
+	return an, cfg, nil
+}
+
+// substrateFor returns the physical scan substrate for one resolved
+// configuration, reusing a previously built one from the session registry when
+// every substrate-affecting setting matches. Substrates are safe to share:
+// scans are read-only over the dataset, plan caches and accumulator pools are
+// internally synchronized, and reuse never changes results — it only skips
+// re-planning.
+func (s *Session) substrateFor(o *sessionConfig, need map[string]bool) (Substrate, error) {
+	cols := make([]string, 0, len(need))
+	for c := range need {
+		cols = append(cols, c)
+	}
+	sort.Strings(cols)
+	// The key covers every input that shapes the substrate, including the
+	// observer identity (substrates bake their observer in).
+	key := fmt.Sprintf("par=%d mm=%v obs=%p", o.scanPar, cols, o.observer)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrSessionClosed
+	}
+	s.useSeq++
+	if e, ok := s.subs[key]; ok {
+		e.lastUse = s.useSeq
+		return e.sub, nil
+	}
+	sub := engine.NewColumnarSubstrate(s.d,
+		engine.WithMinMaxColumns(need),
+		engine.WithScanParallelism(o.scanPar),
+		engine.WithScanObserver(o.observer))
+	s.subs[key] = &substrateEntry{sub: sub, lastUse: s.useSeq, ctor: s.useSeq}
+	// Bounded registry: evict least-recently-used entries (ties broken by
+	// construction order) until the limit holds. Eviction only drops the
+	// cached reference; an in-flight Analyze keeps its substrate alive.
+	for s.subLimit > 0 && len(s.subs) > s.subLimit {
+		var victim string
+		var ve *substrateEntry
+		for k, e := range s.subs {
+			if ve == nil || e.lastUse < ve.lastUse ||
+				(e.lastUse == ve.lastUse && e.ctor < ve.ctor) {
+				victim, ve = k, e
+			}
+		}
+		delete(s.subs, victim)
+	}
+	return sub, nil
 }

@@ -21,7 +21,6 @@ import (
 func TestSessionConcurrentAnalyze(t *testing.T) {
 	tab := fracTable(t, 900)
 	sess, err := metainsight.NewSession(tab,
-		metainsight.WithMeasures(metainsight.Sum("Revenue"), metainsight.Sum("Margin")),
 		metainsight.WithSubstrate(engine.NewColumnarSubstrate(tab,
 			engine.WithMorselSize(64), engine.WithScanParallelism(2))),
 		metainsight.WithResilience(metainsight.ResilienceConfig{
@@ -38,11 +37,12 @@ func TestSessionConcurrentAnalyze(t *testing.T) {
 	}
 	defer sess.Close()
 
+	ms := []metainsight.Measure{metainsight.Sum("Revenue"), metainsight.Sum("Margin")}
 	reqs := []metainsight.Request{
-		{TopK: 5},
-		{TopK: 3, Tau: 0.7},
-		{TopK: 4, Tau: 0.4},
-		{TopK: 5, MaxFilters: 2},
+		{Measures: ms, TopK: 5},
+		{Measures: ms, TopK: 3, Tau: 0.7},
+		{Measures: ms, TopK: 4, Tau: 0.4},
+		{Measures: ms, TopK: 5, MaxFilters: 2},
 	}
 	analyze := func(req metainsight.Request) (runFacts, error) {
 		an, err := sess.Analyze(context.Background(), req)

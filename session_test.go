@@ -1,10 +1,9 @@
 package metainsight_test
 
-// Tests of the Session/Request API redesign: session reuse is hermetic
-// (every Analyze call bit-identical to a fresh Analyzer run), the deprecated
-// shims are trace-identical to the new surface, multi-morsel scans are
-// bit-identical at any scan parallelism, and conflicting options fail at
-// construction with typed errors.
+// Tests of the Session/Request API: session reuse is hermetic (every Analyze
+// call bit-identical to the same call on a fresh session), every Request
+// field is honoured, multi-morsel scans are bit-identical at any scan
+// parallelism, and conflicting settings fail with typed errors.
 
 import (
 	"context"
@@ -93,87 +92,32 @@ func requireSameFacts(t *testing.T, label string, want, got runFacts) {
 }
 
 // TestSessionReuseBitIdentical is the Session contract: two sequential
-// Analyze calls on one session each produce exactly what a fresh Analyzer
-// over the same options produces — reuse shares indexes and substrates, not
-// caches or meters.
+// Analyze calls on one session each produce exactly what the same call on a
+// fresh session produces — reuse shares indexes and substrates, not caches
+// or meters.
 func TestSessionReuseBitIdentical(t *testing.T) {
 	header, records := houseRecords()
 	tab, err := metainsight.FromRecords("houses", header, records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := metainsight.NewAnalyzer(tab, metainsight.WithMeasures(metainsight.Sum("Sales")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := a.Mine()
-	fresh := factsOf(res, a.Rank(res, 5))
+	req := metainsight.Request{TopK: 5, Measures: sales}
+	an := analyze(t, tab, req)
+	fresh := factsOf(an.Result, an.Insights)
 	if len(fresh.keys) == 0 {
-		t.Fatal("fresh analyzer mined nothing")
+		t.Fatal("fresh session mined nothing")
 	}
 
-	s, err := metainsight.NewSession(tab, metainsight.WithMeasures(metainsight.Sum("Sales")))
+	s, err := metainsight.NewSession(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for call := 1; call <= 2; call++ {
-		an, err := s.Analyze(context.Background(), metainsight.Request{TopK: 5})
+		an, err := s.Analyze(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameFacts(t, fmt.Sprintf("session call %d", call), fresh, factsOf(an.Result, an.Insights))
-	}
-}
-
-// TestShimEquivalence runs the same configuration through the deprecated
-// surface (NewAnalyzer + Mine + Rank) and the Session surface, with a trace
-// observer on each, and requires identical stats, results and trace event
-// streams (wall-clock timestamps zeroed — everything else must match).
-func TestShimEquivalence(t *testing.T) {
-	header, records := houseRecords()
-	tab, err := metainsight.FromRecords("houses", header, records)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	obOld := metainsight.NewObserver(metainsight.ObserverOptions{TraceCapacity: 1 << 14})
-	a, err := metainsight.NewAnalyzer(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales")),
-		metainsight.WithWorkers(1),
-		metainsight.WithObserver(obOld))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := a.Mine()
-	oldFacts := factsOf(res, a.Rank(res, 5))
-
-	obNew := metainsight.NewObserver(metainsight.ObserverOptions{TraceCapacity: 1 << 14})
-	s, err := metainsight.NewSession(tab,
-		metainsight.WithMeasures(metainsight.Sum("Sales")),
-		metainsight.WithExec(metainsight.ExecConfig{Workers: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	an, err := s.Analyze(context.Background(), metainsight.Request{TopK: 5, Observer: obNew})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameFacts(t, "session vs shim", oldFacts, factsOf(an.Result, an.Insights))
-
-	oldEvents := obOld.Trace().Events()
-	newEvents := obNew.Trace().Events()
-	if len(oldEvents) != len(newEvents) {
-		t.Fatalf("trace lengths differ: old %d, new %d", len(oldEvents), len(newEvents))
-	}
-	if len(oldEvents) == 0 {
-		t.Fatal("no trace events recorded")
-	}
-	for i := range oldEvents {
-		oe, ne := oldEvents[i], newEvents[i]
-		oe.WallNanos, ne.WallNanos = 0, 0
-		if oe != ne {
-			t.Fatalf("trace event %d differs:\n old %+v\n new %+v", i, oe, ne)
-		}
 	}
 }
 
@@ -190,29 +134,14 @@ func TestShimEquivalence(t *testing.T) {
 func TestSessionMorselGridBitIdentical(t *testing.T) {
 	tab := fracTable(t, 1400)
 	run := func(workers, par int) (runFacts, map[cache.UnitKey]string) {
-		s, err := metainsight.NewSession(tab,
-			metainsight.WithMeasures(metainsight.Sum("Revenue"), metainsight.Sum("Margin")),
-			metainsight.WithExec(metainsight.ExecConfig{Workers: workers}),
+		an := analyze(t, tab, metainsight.Request{
+			TopK:     5,
+			Measures: []metainsight.Measure{metainsight.Sum("Revenue"), metainsight.Sum("Margin")},
+		},
+			metainsight.WithWorkers(workers),
 			metainsight.WithSubstrate(engine.NewColumnarSubstrate(tab,
 				engine.WithMorselSize(64), engine.WithScanParallelism(par))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		an, err := s.Analyze(context.Background(), metainsight.Request{TopK: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		qc := an.Engine().QueryCache()
-		units := make(map[cache.UnitKey]string)
-		for k := range qc.Snapshot() {
-			u, _ := qc.Peek(k.Subspace, k.Breakdown)
-			enc, err := json.Marshal(u) // shortest float encoding: bit-exact
-			if err != nil {
-				t.Fatal(err)
-			}
-			units[k] = string(enc)
-		}
-		return factsOf(an.Result, an.Insights), units
+		return factsOf(an.Result, an.Insights), scannedUnits(t, an)
 	}
 	base, baseUnits := run(1, 1)
 	if len(base.keys) == 0 || len(baseUnits) == 0 {
@@ -226,14 +155,201 @@ func TestSessionMorselGridBitIdentical(t *testing.T) {
 			if workers > 1 {
 				continue
 			}
-			if len(units) != len(baseUnits) {
-				t.Fatalf("%s: %d scanned units, want %d", label, len(units), len(baseUnits))
-			}
-			for k, want := range baseUnits {
-				if got := units[k]; got != want {
-					t.Fatalf("%s: unit %v differs:\n want %s\n got  %s", label, k, want, got)
+			requireSameUnits(t, label, baseUnits, units)
+		}
+	}
+}
+
+// scannedUnits encodes every unit in the call's query cache exactly (the
+// shortest float encoding is bit-exact).
+func scannedUnits(t *testing.T, an *metainsight.Analysis) map[cache.UnitKey]string {
+	t.Helper()
+	qc := an.Engine().QueryCache()
+	units := make(map[cache.UnitKey]string)
+	for k := range qc.Snapshot() {
+		u, _ := qc.Peek(k.Subspace, k.Breakdown)
+		enc, err := json.Marshal(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units[k] = string(enc)
+	}
+	return units
+}
+
+func requireSameUnits(t *testing.T, label string, want, got map[cache.UnitKey]string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d scanned units, want %d", label, len(got), len(want))
+	}
+	for k, w := range want {
+		if g := got[k]; g != w {
+			t.Fatalf("%s: unit %v differs:\n want %s\n got  %s", label, k, w, g)
+		}
+	}
+}
+
+// TestSessionMinMaxSubstrateMatchesEngine: a session builds its scan
+// substrate itself (to share it across calls), so it must materialize
+// exactly the MIN/MAX columns engine.New would. A MIN/MAX request plus a
+// correlation pair whose secondary measure is a MAX over a column nothing
+// else aggregates must run bit-identically — results, statistics and every
+// scanned unit — to the same request over the substrate engine.New derives
+// from the same measures.
+func TestSessionMinMaxSubstrateMatchesEngine(t *testing.T) {
+	tab := fracTable(t, 600)
+	pair := [2]metainsight.Measure{metainsight.Min("Revenue"), metainsight.Max("Margin")}
+	req := metainsight.Request{
+		TopK:     5,
+		Measures: []metainsight.Measure{metainsight.Min("Revenue"), metainsight.Max("Revenue")},
+	}
+	eng, err := engine.New(tab, engine.Config{Measures: req.Measures, ExtraMeasures: pair[:]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts ...metainsight.Option) (runFacts, map[cache.UnitKey]string) {
+		opts = append(opts, metainsight.WithCorrelationPatterns(pair), metainsight.WithWorkers(1))
+		an := analyze(t, tab, req, opts...)
+		return factsOf(an.Result, an.Insights), scannedUnits(t, an)
+	}
+	want, wantUnits := run(metainsight.WithSubstrate(eng.Substrate()))
+	if len(want.keys) == 0 {
+		t.Fatal("reference run mined nothing")
+	}
+	if want.stats.FailedUnits != 0 {
+		t.Fatalf("reference run failed %d units", want.stats.FailedUnits)
+	}
+	got, gotUnits := run()
+	requireSameFacts(t, "session substrate", want, got)
+	requireSameUnits(t, "session substrate", wantUnits, gotUnits)
+}
+
+// TestRequestFieldsHonoured checks every per-call Request field: set to a
+// non-default value it changes what it governs (statistics, mined insights,
+// callbacks or the metrics snapshot); set to its documented default the
+// call is bit-identical to Request{}.
+func TestRequestFieldsHonoured(t *testing.T) {
+	tab := fracTable(t, 600)
+	type outcome struct {
+		facts runFacts
+		mined string
+		snap  metainsight.MetricsSnapshot
+	}
+	run := func(req metainsight.Request) outcome {
+		an := analyze(t, tab, req, metainsight.WithWorkers(1))
+		return outcome{factsOf(an.Result, an.Insights), mineJSON(t, an.Result), an.Snapshot()}
+	}
+	sameAs := func(t *testing.T, label string, want, got outcome) {
+		t.Helper()
+		requireSameFacts(t, label, want.facts, got.facts)
+		if got.mined != want.mined {
+			t.Fatalf("%s: mined MetaInsights differ", label)
+		}
+	}
+	statsDiffer := func(t *testing.T, base, got outcome) {
+		t.Helper()
+		if got.facts.stats == base.facts.stats {
+			t.Fatalf("statistics unchanged: %+v", got.facts.stats)
+		}
+	}
+	var progressCalls int
+	base := run(metainsight.Request{TopK: 5})
+	if len(base.facts.keys) == 0 {
+		t.Fatal("Request{} mined nothing")
+	}
+	cases := []struct {
+		name     string
+		set, def metainsight.Request
+		changed  func(t *testing.T, base, got outcome)
+	}{
+		{"Measures",
+			metainsight.Request{Measures: []metainsight.Measure{metainsight.Sum("Revenue")}},
+			metainsight.Request{Measures: tab.DefaultMeasures()},
+			statsDiffer},
+		{"ImpactMeasure",
+			metainsight.Request{ImpactMeasure: metainsight.Sum("Revenue")},
+			metainsight.Request{ImpactMeasure: metainsight.Count("*")},
+			statsDiffer},
+		{"MaxFilters",
+			metainsight.Request{MaxFilters: 1},
+			metainsight.Request{MaxFilters: 3},
+			statsDiffer},
+		{"Budget.Cost",
+			metainsight.Request{Budget: metainsight.Budget{Cost: 30}},
+			metainsight.Request{Budget: metainsight.Budget{Cost: 0}},
+			func(t *testing.T, base, got outcome) {
+				t.Helper()
+				if got.facts.stats.CostUsed >= base.facts.stats.CostUsed {
+					t.Fatalf("cost budget 30 used %v, unbudgeted run %v",
+						got.facts.stats.CostUsed, base.facts.stats.CostUsed)
 				}
-			}
+			}},
+		{"Budget.Time",
+			metainsight.Request{Budget: metainsight.Budget{Time: time.Nanosecond}},
+			metainsight.Request{Budget: metainsight.Budget{Time: 0}},
+			func(t *testing.T, base, got outcome) {
+				t.Helper()
+				if got.facts.stats.CostUsed >= base.facts.stats.CostUsed {
+					t.Fatalf("time budget 1ns used cost %v, unbudgeted run %v",
+						got.facts.stats.CostUsed, base.facts.stats.CostUsed)
+				}
+			}},
+		{"Tau",
+			metainsight.Request{Tau: 0.9},
+			metainsight.Request{Tau: 0.5},
+			statsDiffer},
+		{"TopKPruning",
+			metainsight.Request{TopKPruning: 1},
+			metainsight.Request{TopKPruning: 0},
+			func(t *testing.T, base, got outcome) {
+				t.Helper()
+				if got.facts.stats.SStarCut == 0 {
+					t.Fatalf("TopKPruning 1 cut nothing: %+v", got.facts.stats)
+				}
+			}},
+		{"Progress",
+			metainsight.Request{Progress: func(*metainsight.MetaInsight) { progressCalls++ }},
+			metainsight.Request{Progress: nil},
+			func(t *testing.T, base, got outcome) {
+				t.Helper()
+				sameAs(t, "Progress set", base, got)
+				if progressCalls != len(got.facts.keys) {
+					t.Fatalf("Progress called %d times for %d MetaInsights", progressCalls, len(got.facts.keys))
+				}
+			}},
+		{"Observer",
+			metainsight.Request{Observer: metainsight.NewObserver(metainsight.ObserverOptions{})},
+			metainsight.Request{Observer: nil},
+			func(t *testing.T, base, got outcome) {
+				t.Helper()
+				sameAs(t, "Observer set", base, got)
+				if len(base.snap.Gauges) != 0 || got.snap.Gauges["engine.cost_units"] <= 0 {
+					t.Fatalf("snapshot gauges: without observer %d, with observer cost_units %v",
+						len(base.snap.Gauges), got.snap.Gauges["engine.cost_units"])
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.set.TopK, tc.def.TopK = 5, 5
+			tc.changed(t, base, run(tc.set))
+			sameAs(t, "default "+tc.name, base, run(tc.def))
+		})
+	}
+
+	s, err := metainsight.NewSession(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		req  metainsight.Request
+		want error
+	}{
+		{metainsight.Request{Budget: metainsight.Budget{Time: time.Second, Cost: 10}}, metainsight.ErrConflictingBudgets},
+		{metainsight.Request{TopKPruning: -1}, metainsight.ErrInvalidTopKPruning},
+	} {
+		if _, err := s.Analyze(context.Background(), bad.req); !errors.Is(err, bad.want) {
+			t.Errorf("Analyze(%+v): err = %v, want %v", bad.req, err, bad.want)
 		}
 	}
 }
@@ -249,9 +365,9 @@ func (stubSubstrate) ScanAugmented(model.Subspace, string, string) (map[string]*
 	return nil, 0, errors.New("stub")
 }
 
-// TestConstructionValidation checks that conflicting or malformed option
-// combinations are rejected at construction with the typed errors, on both
-// the Session and the deprecated surfaces.
+// TestConstructionValidation checks that conflicting or malformed settings
+// are rejected with the typed errors: options by NewSession, Request fields
+// by Analyze.
 func TestConstructionValidation(t *testing.T) {
 	header, records := houseRecords()
 	tab, err := metainsight.FromRecords("houses", header, records)
@@ -261,60 +377,44 @@ func TestConstructionValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		opts []metainsight.Option
+		req  metainsight.Request
 		want error
 	}{
-		{"budgets", []metainsight.Option{
-			metainsight.WithTimeBudget(time.Second), metainsight.WithCostBudget(10),
+		{"budgets", nil, metainsight.Request{
+			Budget: metainsight.Budget{Time: time.Second, Cost: 10},
 		}, metainsight.ErrConflictingBudgets},
-		{"topk zero", []metainsight.Option{
-			metainsight.WithTopKPruning(0),
-		}, metainsight.ErrInvalidTopKPruning},
-		{"topk negative", []metainsight.Option{
-			metainsight.WithTopKPruning(-3),
-		}, metainsight.ErrInvalidTopKPruning},
+		{"topk negative", nil, metainsight.Request{TopKPruning: -3}, metainsight.ErrInvalidTopKPruning},
 		{"negative workers", []metainsight.Option{
 			metainsight.WithWorkers(-1),
-		}, metainsight.ErrNegativeOption},
+		}, metainsight.Request{}, metainsight.ErrNegativeOption},
 		{"negative scan parallelism", []metainsight.Option{
-			metainsight.WithExec(metainsight.ExecConfig{ScanParallelism: -2}),
-		}, metainsight.ErrNegativeOption},
+			metainsight.WithScanParallelism(-2),
+		}, metainsight.Request{}, metainsight.ErrNegativeOption},
 		{"negative cache bytes", []metainsight.Option{
 			metainsight.WithCacheBytes(-1, 0),
-		}, metainsight.ErrNegativeOption},
+		}, metainsight.Request{}, metainsight.ErrNegativeOption},
 		{"checkpoint dirs", []metainsight.Option{
-			metainsight.WithCheckpoint("/tmp/ck-a", 0),
-			metainsight.ResumeFromCheckpoint("/tmp/ck-b"),
-		}, metainsight.ErrConflictingCheckpoints},
+			metainsight.WithDurability(metainsight.DurabilityConfig{CheckpointDir: "/tmp/ck-a"}),
+			metainsight.WithDurability(metainsight.DurabilityConfig{CheckpointDir: "/tmp/ck-b", Resume: true}),
+		}, metainsight.Request{}, metainsight.ErrConflictingCheckpoints},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := metainsight.NewSession(tab, tc.opts...); !errors.Is(err, tc.want) {
-				t.Errorf("NewSession: err = %v, want %v", err, tc.want)
+			s, err := metainsight.NewSession(tab, tc.opts...)
+			if err == nil {
+				_, err = s.Analyze(context.Background(), tc.req)
 			}
-			if _, err := metainsight.NewAnalyzer(tab, tc.opts...); !errors.Is(err, tc.want) {
-				t.Errorf("NewAnalyzer: err = %v, want %v", err, tc.want)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("err = %v, want %v", err, tc.want)
 			}
 		})
 	}
 
-	// Resuming into the directory WithCheckpoint names is not a conflict.
+	// Resuming into the directory a fresh config names is not a conflict.
 	dir := t.TempDir()
 	if _, err := metainsight.NewSession(tab,
-		metainsight.WithCheckpoint(dir, 16),
-		metainsight.ResumeFromCheckpoint(dir)); err != nil {
+		metainsight.WithDurability(metainsight.DurabilityConfig{CheckpointDir: dir, Every: 16}),
+		metainsight.WithDurability(metainsight.DurabilityConfig{CheckpointDir: dir, Resume: true})); err != nil {
 		t.Errorf("same-directory checkpoint+resume rejected: %v", err)
-	}
-
-	// Per-request conflicts surface from Analyze with the same typed error.
-	s, err := metainsight.NewSession(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Analyze(context.Background(), metainsight.Request{
-		TopK:   5,
-		Budget: metainsight.Budget{Time: time.Second, Cost: 10},
-	})
-	if !errors.Is(err, metainsight.ErrConflictingBudgets) {
-		t.Errorf("Analyze: err = %v, want ErrConflictingBudgets", err)
 	}
 }
